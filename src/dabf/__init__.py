@@ -4,16 +4,14 @@ from .channel import ChannelRealization, draw_channels, steering_vector
 from .config import ConfigError, SolverOptions, SystemConfig, dbm_to_mw, mw_to_dbm, noise_from_snr
 from .decomposition import analog_feasibility_check, decompose, match_hybrid_power, refine_digital
 from .distortion import (
-    DistortionModel,
-    bussgang_gain,
     bussgang_gain_diag,
     distortion_covariance,
     power_match_scale,
     radiated_power,
     scale_to_power,
 )
-from .gradients import euclidean_gradient, moment_targets, penalized_objective
-from .metrics import MetricsReport, evaluate_metrics, sensing_sndr, user_sindr, weighted_objective
+from .gradients import MomentPenalty, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
+from .metrics import MetricsReport, evaluate_metrics, probe_powers, weighted_objective
 from .solver import (
     DegeneratePA,
     InfeasibleMomentBudget,
@@ -45,9 +43,9 @@ __all__ = [
     "ChannelRealization",
     "ConfigError",
     "DegeneratePA",
-    "DistortionModel",
     "InfeasibleMomentBudget",
     "MetricsReport",
+    "MomentPenalty",
     "MoIterate",
     "OuterRecord",
     "PrecoderState",
@@ -55,7 +53,6 @@ __all__ = [
     "SolverOptions",
     "SystemConfig",
     "analog_feasibility_check",
-    "bussgang_gain",
     "bussgang_gain_diag",
     "dbm_to_mw",
     "decompose",
@@ -68,6 +65,7 @@ __all__ = [
     "manifold_cg",
     "match_hybrid_power",
     "moment_targets",
+    "moment_penalty",
     "mrt_precoder",
     "mw_to_dbm",
     "noise_from_snr",
@@ -75,6 +73,7 @@ __all__ = [
     "pa_blind_precoder",
     "penalized_objective",
     "power_match_scale",
+    "probe_powers",
     "radiated_power",
     "rbf_precoder",
     "refine_digital",
@@ -86,13 +85,11 @@ __all__ = [
     "run_sweep_snr",
     "riemannian_gradient",
     "scale_to_power",
-    "sensing_sndr",
     "sphere_radius_sq",
     "steering_vector",
     "tangent_project",
     "update_quartic_moment",
     "update_sextic_moment",
-    "user_sindr",
     "weighted_objective",
     "zf_precoder",
 ]

@@ -120,7 +120,7 @@ def refine_digital(
     that believes in that model. The returned factor never has a lower
     design-model objective than the input.
     """
-    from .gradients import euclidean_gradient, moment_targets
+    from .gradients import NO_PENALTY, euclidean_gradient
     from .metrics import weighted_objective
 
     F_D = np.array(F_D, dtype=complex)
@@ -129,9 +129,7 @@ def refine_digital(
     obj = weighted_objective(F_A @ F_D, channels, config)
     step = 1.0
     for _ in range(max_iters):
-        product = F_A @ F_D
-        m4, m6 = moment_targets(product)
-        grad = F_A.conj().T @ euclidean_gradient(product, m4, m6, channels, config, 0.0, 0.0)
+        grad = F_A.conj().T @ euclidean_gradient(F_A @ F_D, NO_PENALTY, channels, config)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < grad_tol:
             break

@@ -8,8 +8,6 @@ statistics below are exact closed forms for that model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -17,11 +15,6 @@ def bussgang_gain_diag(F: np.ndarray, beta1: complex, beta3: complex) -> np.ndar
     """Diagonal of the linear-equivalent gain: beta1 + 2*beta3*diag(F F^H)."""
     sig2 = np.sum(np.abs(F) ** 2, axis=1)
     return beta1 + 2.0 * beta3 * sig2
-
-
-def bussgang_gain(F: np.ndarray, beta1: complex, beta3: complex) -> np.ndarray:
-    """Linear-equivalent gain matrix B (diagonal, n_tx x n_tx)."""
-    return np.diag(bussgang_gain_diag(F, beta1, beta3))
 
 
 def distortion_covariance(F: np.ndarray, beta3: complex) -> np.ndarray:
@@ -103,23 +96,3 @@ def scale_to_power(
 ) -> np.ndarray:
     """F rescaled so its mean amplifier output power equals p_tot."""
     return power_match_scale(F, p_tot, beta1, beta3, rel_tol) * F
-
-
-@dataclass(frozen=True)
-class DistortionModel:
-    """Second-order amplifier statistics for a fixed precoder."""
-
-    bussgang_gain: np.ndarray  # diagonal (n_tx, n_tx)
-    distortion_cov: np.ndarray  # Hermitian PSD (n_tx, n_tx)
-    tx_cov: np.ndarray  # F F^H, Hermitian PSD, rank <= n_users
-
-    @classmethod
-    def from_precoder(cls, F: np.ndarray, beta1: complex, beta3: complex) -> "DistortionModel":
-        cov = F @ F.conj().T
-        gain = np.diag(beta1 + 2.0 * beta3 * np.real(np.diag(cov)))
-        dist = 2.0 * abs(beta3) ** 2 * cov * np.abs(cov) ** 2
-        return cls(bussgang_gain=gain, distortion_cov=dist, tx_cov=cov)
-
-    @property
-    def gain_diag(self) -> np.ndarray:
-        return np.diag(self.bussgang_gain)

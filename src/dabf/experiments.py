@@ -20,8 +20,7 @@ from .baselines import mrt_precoder, pa_blind_precoder, rbf_precoder, zf_precode
 from .channel import ChannelRealization, draw_channels, steering_vector
 from .config import ConfigError, SystemConfig
 from .decomposition import decompose, match_hybrid_power, refine_digital
-from .distortion import DistortionModel
-from .metrics import evaluate_metrics
+from .metrics import evaluate_metrics, probe_powers
 from .solver import first_mo_trace, optimize_full_digital
 
 SCHEMES = ("proposed_known", "proposed_unknown", "mrt", "zf", "rbf")
@@ -86,7 +85,19 @@ def _hybrid_product(
     channels: ChannelRealization | None = None,
     assume_linear: bool = False,
 ) -> np.ndarray:
-    """Decompose into hybrid factors and re-match the power budget.
+    """Decompose into hybrid factors and re-match the power budget (see ``_fit_digital``)."""
+    F_A, F_D, _ = decompose(F_full, cfg.n_rf)
+    return _fit_digital(F_A, F_D, cfg, channels, assume_linear)
+
+
+def _fit_digital(
+    F_A: np.ndarray,
+    F_D: np.ndarray,
+    cfg: SystemConfig,
+    channels: ChannelRealization | None = None,
+    assume_linear: bool = False,
+) -> np.ndarray:
+    """Hybrid product after fitting the digital factor to the power budget.
 
     When ``channels`` is given (the optimizer-driven schemes), the digital
     factor is additionally refined against the scheme's own design model: the
@@ -94,7 +105,6 @@ def _hybrid_product(
     for the PA-blind design. Classical baselines skip refinement; they commit
     to their textbook directions.
     """
-    F_A, F_D, _ = decompose(F_full, cfg.n_rf)
     design_cfg = cfg.with_updates(beta3=0j) if assume_linear else cfg
     if channels is not None:
         F_D = refine_digital(F_A, F_D, channels, design_cfg)
@@ -156,25 +166,36 @@ def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
     rbf_rng = realization_rng(spec.seed, index, 1)
 
     out = np.zeros((len(spec.grid), len(spec.schemes), 2))
-    # Classical directions depend only on the channels; cache them once.
-    cached_full: dict[str, np.ndarray] = {}
-    for scheme in spec.schemes:
-        if scheme == "mrt":
-            cached_full[scheme] = mrt_precoder(channels, base)
-        elif scheme == "zf":
-            cached_full[scheme] = zf_precoder(channels, base)
-        elif scheme == "rbf":
-            cached_full[scheme] = rbf_precoder(base, rbf_rng)
+    # Classical directions, and so their hybrid factors, depend only on the
+    # channels; factor them once and re-match the power at each grid point.
+    classical_factors = {
+        scheme: decompose(_scheme_full_digital(scheme, channels, base, rbf_rng), base.n_rf)[:2]
+        for scheme in spec.schemes
+        if scheme in ("mrt", "zf", "rbf")
+    }
 
+    # The linear design and its linear-model hybrid ignore beta3, so one
+    # instance of each serves the whole nonlinearity grid; an SNR grid changes
+    # both through the noise.
     blind_cache: dict[int, np.ndarray] = {}
+    unknown_cache: dict[int, np.ndarray] = {}
+
+    def linear_key(gi: int) -> int:
+        return -1 if spec.kind == "sweep_nonlinearity" else gi
 
     def blind_design(gi: int, cfg: SystemConfig) -> np.ndarray:
-        # The linear design ignores beta3, so one instance serves the whole
-        # nonlinearity grid; an SNR grid changes the design through the noise.
-        key = -1 if spec.kind == "sweep_nonlinearity" else gi
+        key = linear_key(gi)
         if key not in blind_cache:
             blind_cache[key] = pa_blind_precoder(channels, cfg)[0].full_digital
         return blind_cache[key]
+
+    def unknown_hybrid(gi: int, cfg: SystemConfig) -> np.ndarray:
+        key = linear_key(gi)
+        if key not in unknown_cache:
+            unknown_cache[key] = _hybrid_product(
+                blind_design(gi, cfg), cfg, channels=channels, assume_linear=True
+            )
+        return unknown_cache[key]
 
     for gi, value in enumerate(spec.grid):
         if spec.kind == "sweep_nonlinearity":
@@ -188,11 +209,9 @@ def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
                 blind = blind_design(gi, cfg) if cfg.beta3 != 0 else None
                 hybrid = _known_pa_hybrid(channels, cfg, full, blind)
             elif scheme == "proposed_unknown":
-                hybrid = _hybrid_product(
-                    blind_design(gi, cfg), cfg, channels=channels, assume_linear=True
-                )
+                hybrid = unknown_hybrid(gi, cfg)
             else:
-                hybrid = _hybrid_product(cached_full[scheme], cfg)
+                hybrid = _fit_digital(*classical_factors[scheme], cfg)
             report = evaluate_metrics(channels, hybrid, cfg)
             out[gi, si, 0] = report.weighted_objective
             out[gi, si, 1] = report.radiated_power
@@ -338,10 +357,9 @@ def deterministic_single_path_channel(cfg: SystemConfig, user_angle_deg: float) 
 
 def beam_patterns(F: np.ndarray, cfg: SystemConfig, angles_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(linear, nonlinear) radiated patterns in dB over the angle grid."""
-    model = DistortionModel.from_precoder(F, cfg.beta1, cfg.beta3)
     steer = np.stack([steering_vector(a, cfg.n_tx) for a in np.radians(angles_deg)])
-    linear = np.sum(np.abs((steer.conj() * model.gain_diag[None, :]) @ F) ** 2, axis=1)
-    nonlinear = np.real(np.einsum("ti,ij,tj->t", steer.conj(), model.distortion_cov, steer))
+    powers, nonlinear = probe_powers(F, steer.conj(), cfg.beta1, cfg.beta3)
+    linear = np.sum(powers, axis=1)
     to_db = lambda p: np.maximum(10.0 * np.log10(np.maximum(p, 0.0) + 1e-300), DB_FLOOR)
     return to_db(linear), to_db(nonlinear)
 

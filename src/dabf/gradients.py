@@ -6,17 +6,28 @@ auxiliary moment matrices to their exact values:
 
     m4 target = |C_x|^2 (entrywise squared modulus), m6 target = m4 .* C_x.
 
+The dense C_x = F F^H is never formed. Distortion quadratic forms go
+through the face-splitting factor T of F (C_x .* |C_x|^2 = T T^H). For the
+gradient the penalties are expanded once per fixed pair of moments
+(``moment_penalty``), so a gradient costs O(n_tx K^4) plus two thin products
+against the fixed n_tx x n_tx matrices of that expansion. The penalty value
+is summed from its residuals, a few rows of C_x at a time: the expansion
+would cancel terms of size |penalty| ||m||^2 down to rounding error at the
+targets.
+
 ``euclidean_gradient`` returns d(objective)/dF* in the Wirtinger sense, so
 for a real objective the differential is 2*Re<dF, grad>.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .metrics import link_terms, weighted_objective_from_terms
+from .metrics import _probe_rows, _probe_terms, link_terms, weighted_objective_from_terms
 
 _LOG2E = 1.0 / np.log(2.0)
 
@@ -28,120 +39,126 @@ def moment_targets(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m4, m4 * cov
 
 
-def penalty_values(F: np.ndarray, m4: np.ndarray, m6: np.ndarray) -> tuple[float, float]:
-    """Squared Frobenius mismatches of the two moment matrices."""
-    cov = F @ F.conj().T
-    c1 = float(np.sum(np.abs(m4 - np.abs(cov) ** 2) ** 2))
-    c2 = float(np.sum(np.abs(m6 - m4 * cov) ** 2))
-    return c1, c2
+# Entries of C = F F^H formed at a time when summing the penalty residuals:
+# 4096 complex entries (64 KiB) keep every temporary of one objective
+# evaluation well below one dense n_tx x n_tx matrix at 256 antennas.
+_BLOCK_ENTRIES = 4096
+
+
+@dataclass(frozen=True)
+class MomentPenalty:
+    """penalty1*||m4 - |C|^2||_F^2 + penalty2*||m6 - m4 .* C||_F^2 at fixed moments.
+
+    The value is summed from the residuals, a block of rows of C = F F^H at a
+    time, so it vanishes at the targets up to rounding of the residuals
+    themselves. For the gradient, with <X, Y> = sum_ij X_ij Y_ij, the two
+    terms expand to
+
+        const + <A, |C|^2> + Re<B, C> + penalty1 * sum_ij |C_ij|^4,
+        A = -2 penalty1 Re(m4) + penalty2 |m4|^2,  B = -2 penalty2 conj(m6) .* m4.
+
+    C is Hermitian, so only A + A^T (real) and B + B^H enter; those are
+    stored. ``MomentPenalty()`` is the zero penalty.
+    """
+
+    penalty1: float = 0.0
+    penalty2: float = 0.0
+    m4: np.ndarray | None = None
+    m6: np.ndarray | None = None
+    sym_a: np.ndarray | None = None
+    sym_b: np.ndarray | None = None
+
+
+NO_PENALTY = MomentPenalty()
+
+
+def moment_penalty(m4: np.ndarray, m6: np.ndarray, penalty1: float, penalty2: float) -> MomentPenalty:
+    """The two moment penalties around fixed (m4, m6), with their gradient expansion."""
+    if penalty1 == 0.0 and penalty2 == 0.0:
+        return NO_PENALTY
+    m4_re = np.real(m4)
+    A = -2.0 * penalty1 * m4_re + penalty2 * (m4_re**2 + np.imag(m4) ** 2)
+    B = (-2.0 * penalty2) * (m6.conj() * m4)
+    return MomentPenalty(penalty1, penalty2, m4, m6, A + A.T, B + B.conj().T)
+
+
+def _penalty_value(penalty: MomentPenalty, F: np.ndarray) -> float:
+    n_tx = F.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // n_tx)
+    F_h = F.conj().T
+    c1 = c2 = 0.0
+    for start in range(0, n_tx, rows):
+        block = slice(start, start + rows)
+        cov = F[block] @ F_h
+        cov_sq = cov.real**2
+        cov_sq += cov.imag**2
+        r4 = penalty.m4[block] - cov_sq
+        cov *= penalty.m4[block]
+        r6 = np.subtract(penalty.m6[block], cov, out=cov)
+        c1 += np.vdot(r4, r4).real
+        c2 += np.vdot(r6, r6).real
+    return penalty.penalty1 * float(c1) + penalty.penalty2 * float(c2)
 
 
 def penalized_objective(
     F: np.ndarray,
-    m4: np.ndarray,
-    m6: np.ndarray,
+    penalty: MomentPenalty,
     channels: ChannelRealization,
     config: SystemConfig,
-    penalty1: float,
-    penalty2: float,
 ) -> float:
     terms = link_terms(F, channels, config.beta1, config.beta3, config.target_gain)
     _, _, objective = weighted_objective_from_terms(terms, config)
-    c1, c2 = penalty_values(F, m4, m6)
-    return objective + penalty1 * c1 + penalty2 * c2
-
-
-def _pair_grad(
-    h: np.ndarray,
-    F: np.ndarray,
-    sig2: np.ndarray,
-    z_i: complex,
-    i: int,
-    beta1: complex,
-    beta3: complex,
-) -> np.ndarray:
-    """d|h^H B f_i|^2 / dF* including the F-dependence of the diagonal gain."""
-    out = 2.0 * beta3 * z_i.conjugate() * (F[:, i] * h.conj())[:, None] * F
-    out += z_i * 2.0 * beta3.conjugate() * (F[:, i].conj() * h)[:, None] * F
-    out[:, i] += z_i * (beta1.conjugate() * h + 2.0 * beta3.conjugate() * (h * sig2))
-    return out
-
-
-def _distortion_grad(h: np.ndarray, cov: np.ndarray, F: np.ndarray, beta3: complex) -> np.ndarray:
-    """d(2|beta3|^2 h^H (C_x .* |C_x|^2) h) / dF*."""
-    outer = np.outer(h, h.conj())
-    core = 2.0 * outer * cov * cov.conj() + outer.conj() * cov * cov
-    return 2.0 * abs(beta3) ** 2 * (core @ F)
+    if penalty.m4 is None:
+        return objective
+    return objective + _penalty_value(penalty, F)
 
 
 def euclidean_gradient(
     F: np.ndarray,
-    m4: np.ndarray,
-    m6: np.ndarray,
+    penalty: MomentPenalty,
     channels: ChannelRealization,
     config: SystemConfig,
-    penalty1: float,
-    penalty2: float,
 ) -> np.ndarray:
     """Conjugate Wirtinger gradient of the penalized objective at F."""
     n_tx, k = F.shape
     if channels.user_channels.shape != (config.n_users, config.n_tx) or k != config.n_users:
         raise ValueError("precoder/channel dimensions do not match the configuration")
-    beta1, beta3 = config.beta1, config.beta3
-    cov = F @ F.conj().T
-    sig2 = np.real(np.diag(cov))
-    gain_diag = beta1 + 2.0 * beta3 * sig2
-
-    H = channels.user_channels
-    rx = (H.conj() * gain_diag[None, :]) @ F  # rx[u, i] = h_u^H B f_i
-    powers = np.abs(rx) ** 2
-    dist_core = cov * np.abs(cov) ** 2
+    beta3 = config.beta3
+    # Probe rows r^H: the k users, then the sensing link (steering vector
+    # scaled by the target gain's magnitude).
+    probes = _probe_rows(channels, config.target_gain)
+    gain_diag, W, T, rx, U = _probe_terms(F, probes, config.beta1, beta3)
     d3 = 2.0 * abs(beta3) ** 2
-    user_dist = d3 * np.real(np.einsum("ki,ij,kj->k", H.conj(), dist_core, H))
 
-    grad = np.zeros_like(F)
-    noise = config.noise_user_array
-    for u in range(k):
-        h = H[u]
-        s_grad = _pair_grad(h, F, sig2, rx[u, u], u, beta1, beta3)
-        i_grad = np.zeros_like(F)
-        for i in range(k):
-            if i != u:
-                i_grad += _pair_grad(h, F, sig2, rx[u, i], i, beta1, beta3)
-        n_grad = i_grad + _distortion_grad(h, cov, F, beta3)
-        s_val = powers[u, u]
-        n_val = powers[u].sum() - s_val + user_dist[u] + noise[u]
-        scale = config.weight_comm * _LOG2E / (1.0 + s_val / n_val)
-        grad += scale * (n_val * s_grad - s_val * n_grad) / n_val**2
+    # Probe r contributes c_r * log2(total_r / rest_r): total_r adds the useful
+    # power to rest_r, which holds the interference (users only), the
+    # distortion and the noise.
+    coeff = _LOG2E * np.append(np.full(k, config.weight_comm), config.weight_sense)
+    in_rest = np.ones((k + 1, k)) - np.eye(k + 1, k)
+    in_rest[k] = 0.0
+    powers = np.abs(rx) ** 2
+    dist = d3 * np.sum(np.abs(U) ** 2, axis=1)
+    rest = np.sum(powers * in_rest, axis=1) + dist + np.append(config.noise_user_array, config.noise_sense)
+    total = rest + np.sum(powers * (1.0 - in_rest), axis=1)
+    inv_total, inv_rest = coeff / total, coeff / rest
+    power_w = inv_total[:, None] - in_rest * inv_rest[:, None]  # d objective / d |r^H B f_i|^2
+    dist_w = d3 * (inv_total - inv_rest)  # d objective / d ||T^H r||^2
 
-    a = channels.sense_steering
-    gain_abs2 = abs(config.target_gain) ** 2
-    arx = (a.conj() * gain_diag) @ F
-    ss_grad = np.zeros_like(F)
-    for i in range(k):
-        ss_grad += _pair_grad(a, F, sig2, arx[i], i, beta1, beta3)
-    ss_grad *= gain_abs2
-    ns_grad = gain_abs2 * _distortion_grad(a, cov, F, beta3)
-    ss_val = gain_abs2 * float(np.sum(np.abs(arx) ** 2))
-    ns_val = d3 * gain_abs2 * float(np.real(a.conj() @ dist_core @ a)) + config.noise_sense
-    scale = config.weight_sense * _LOG2E / (1.0 + ss_val / ns_val)
-    grad += scale * (ns_val * ss_grad - ss_val * ns_grad) / ns_val**2
+    # sum_ri power_w[r, i] d|r^H B f_i|^2/dF*, through both f_i and the gain B(F).
+    M = probes.T @ (power_w * rx.conj())
+    grad = np.conj(gain_diag[:, None] * M)
+    grad += (4.0 * np.real(beta3 * np.einsum("ia,ia->i", F, M)))[:, None] * F
+    # sum_r dist_w[r] d||T^H r||^2/dF*, from G* = conj(sum_r dist_w[r] r r^H T)
+    # and T_(abc) = F_a F_b conj(F_c).
+    G_conj = probes.T @ (dist_w[:, None] * U.conj())
+    FF = (F[:, :, None] * F[:, None, :]).reshape(n_tx, k * k)
+    grad += np.einsum("pkc,pk->pc", G_conj.reshape(n_tx, k * k, k), FF)
+    grad += 2.0 * np.conj(np.einsum("pak,pk->pa", G_conj.reshape(n_tx, k, k * k), W))
 
-    grad += penalty1 * _moment4_penalty_grad(cov, m4, F)
-    grad += penalty2 * _moment6_penalty_grad(cov, m4, m6, F)
+    if penalty.m4 is not None:
+        # A real matrix times the interleaved real view of W: no complex copy of A.
+        AW = (penalty.sym_a @ W.view(np.float64)).view(np.complex128)
+        grad += np.einsum("pab,pb->pa", AW.reshape(n_tx, k, k), F)  # ((A + A^T) .* C) F
+        grad += 0.5 * np.conj(penalty.sym_b @ F.conj())  # (B^T F + conj(B conj(F))) / 2
+        grad += (4.0 * penalty.penalty1) * (T @ (F.conj().T @ T).conj().T)  # 4 penalty1 T T^H F
     return grad
-
-
-def _moment4_penalty_grad(cov: np.ndarray, m4: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """d||m4 - |C_x|^2||_F^2 / dF*."""
-    re_sym = np.real(m4) + np.real(m4).T
-    return 4.0 * (cov * cov * cov.conj()) @ F - 2.0 * (re_sym * cov) @ F
-
-
-def _moment6_penalty_grad(
-    cov: np.ndarray, m4: np.ndarray, m6: np.ndarray, F: np.ndarray
-) -> np.ndarray:
-    """d||m6 - m4 .* C_x||_F^2 / dF*."""
-    quad = (m4 * m4.conj() * cov + m4.T * m4.conj().T * cov) @ F
-    cross = (m6 * m4.conj() + m6.conj().T * m4.T) @ F
-    return quad - cross

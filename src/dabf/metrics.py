@@ -8,7 +8,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .distortion import DistortionModel, radiated_power
+from .distortion import radiated_power
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,45 @@ class LinkTerms:
     sense_distortion: float
 
 
+def _face_split(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin factors of the Hadamard powers of C = F F^H.
+
+    Returns (W, T) with |C|^2 = W W^H and C .* C .* conj(C) = T T^H. Row i of
+    W (n_tx, K^2) holds F_ia conj(F_ib); row i of T (n_tx, K^3) holds
+    F_ia F_ib conj(F_ic). These are face-splitting products of F, so every
+    distortion quadratic form r^H (C .* |C|^2) r equals ||T^H r||^2.
+    """
+    n_tx, k = F.shape
+    W = (F[:, :, None] * F.conj()[:, None, :]).reshape(n_tx, k * k)
+    T = (F[:, :, None] * W[:, None, :]).reshape(n_tx, k**3)
+    return W, T
+
+
+def _probe_terms(F: np.ndarray, probes: np.ndarray, beta1: complex, beta3: complex):
+    """Amplified-signal and distortion products of F seen through probe rows r^H.
+
+    Returns (gain_diag, W, T, rx, U): rx[r, i] = r^H B f_i with the Bussgang
+    gain B, and U = probes @ T, so r^H C_e r = 2|beta3|^2 ||U[r]||^2.
+    """
+    W, T = _face_split(F)
+    # Columns a*(K+1) of W hold |F_ia|^2, so they sum to the antenna powers.
+    gain_diag = beta1 + 2.0 * beta3 * W[:, :: F.shape[1] + 1].real.sum(axis=1)
+    return gain_diag, W, T, probes @ (gain_diag[:, None] * F), probes @ T
+
+
+def _probe_rows(channels: ChannelRealization, target_gain: complex) -> np.ndarray:
+    """Rows r^H: the user channels, then the sensing steering vector times |target_gain|."""
+    return np.vstack((channels.user_channels, abs(target_gain) * channels.sense_steering)).conj()
+
+
+def probe_powers(
+    F: np.ndarray, probes: np.ndarray, beta1: complex, beta3: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stream received powers |r^H B f_i|^2 (m, K) and distortion powers r^H C_e r (m,)."""
+    _, _, _, rx, U = _probe_terms(F, probes, beta1, beta3)
+    return np.abs(rx) ** 2, 2.0 * abs(beta3) ** 2 * np.sum(np.abs(U) ** 2, axis=1)
+
+
 def link_terms(
     F: np.ndarray,
     channels: ChannelRealization,
@@ -44,57 +83,11 @@ def link_terms(
     target_gain: complex,
 ) -> LinkTerms:
     """Evaluate the quadratic forms behind SINDR and sensing SNDR for F."""
-    cov = F @ F.conj().T
-    gain_diag = beta1 + 2.0 * beta3 * np.real(np.diag(cov))
-    dist_core = cov * np.abs(cov) ** 2  # C_x .* |C_x|^2
-    d3 = 2.0 * abs(beta3) ** 2
-
-    H = channels.user_channels  # (K, n_tx)
-    # rx[k, i] = h_k^H B f_i
-    rx = (H.conj() * gain_diag[None, :]) @ F
-    powers = np.abs(rx) ** 2
-    signal = np.diag(powers).copy()
-    interference = powers.sum(axis=1) - signal
-    distortion = d3 * np.real(np.einsum("ki,ij,kj->k", H.conj(), dist_core, H))
-
-    a = channels.sense_steering
-    arx = (a.conj() * gain_diag) @ F
-    sense_signal = abs(target_gain) ** 2 * float(np.sum(np.abs(arx) ** 2))
-    sense_distortion = (
-        d3 * abs(target_gain) ** 2 * float(np.real(a.conj() @ dist_core @ a))
-    )
-    return LinkTerms(signal, interference, distortion, sense_signal, sense_distortion)
-
-
-def user_sindr(
-    h: np.ndarray,
-    F: np.ndarray,
-    k: int,
-    distortion: DistortionModel,
-    noise: float,
-) -> float:
-    """SINDR of the user with channel h served by column k of F."""
-    rx = (h.conj() * distortion.gain_diag) @ F
-    powers = np.abs(rx) ** 2
-    interference = float(np.sum(powers) - powers[k])
-    dist = float(np.real(h.conj() @ distortion.distortion_cov @ h))
-    return float(powers[k] / (interference + dist + noise))
-
-
-def sensing_sndr(
-    steering: np.ndarray,
-    target_gain: complex,
-    F: np.ndarray,
-    distortion: DistortionModel,
-    noise: float,
-) -> float:
-    """SNDR of the monostatic sensing link toward ``steering``."""
-    rx = (steering.conj() * distortion.gain_diag) @ F
-    signal = abs(target_gain) ** 2 * float(np.sum(np.abs(rx) ** 2))
-    dist = abs(target_gain) ** 2 * float(
-        np.real(steering.conj() @ distortion.distortion_cov @ steering)
-    )
-    return signal / (dist + noise)
+    powers, distortion = probe_powers(F, _probe_rows(channels, target_gain), beta1, beta3)
+    k = F.shape[1]
+    signal = np.diagonal(powers).copy()
+    interference = powers[:k].sum(axis=1) - signal
+    return LinkTerms(signal, interference, distortion[:k], float(powers[k].sum()), float(distortion[k]))
 
 
 def weighted_objective_from_terms(

@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import SolverOptions, SystemConfig
 from .distortion import radiated_power, scale_to_power
-from .gradients import euclidean_gradient, moment_targets, penalized_objective
+from .gradients import euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from .metrics import weighted_objective
 
 
@@ -129,19 +129,20 @@ def manifold_cg(
     number of accepted steps, non-decreasing by the Armijo acceptance rule).
     """
     c1 = sphere_radius_sq(m4, m6, config)
+    penalty = moment_penalty(m4, m6, penalty1, penalty2)
     it = MoIterate(point=retract(F_init, np.zeros_like(F_init), c1))
     n_tx, k = it.point.shape
     grad_tol = options.mo_grad_tol(n_tx, k)
     restart_period = n_tx * k
 
-    obj = penalized_objective(it.point, m4, m6, channels, config, penalty1, penalty2)
+    obj = penalized_objective(it.point, penalty, channels, config)
     it.objective_trace.append(obj)
     prev_grad_sq = 0.0
     since_restart = 0
     stall_window = 10
 
     for _ in range(options.max_mo_iters):
-        egrad = euclidean_gradient(it.point, m4, m6, channels, config, penalty1, penalty2)
+        egrad = euclidean_gradient(it.point, penalty, channels, config)
         grad = tangent_project(egrad, it.point)
         grad_sq = float(np.real(np.vdot(grad, grad)))
         grad_norm = np.sqrt(grad_sq)
@@ -169,9 +170,7 @@ def manifold_cg(
         while True:
             for _ in range(options.armijo_max_backtracks):
                 candidate = retract(it.point, step * it.direction, c1)
-                cand_obj = penalized_objective(
-                    candidate, m4, m6, channels, config, penalty1, penalty2
-                )
+                cand_obj = penalized_objective(candidate, penalty, channels, config)
                 if cand_obj >= obj + options.armijo_slope * step * grad_sq:
                     accepted = True
                     break
@@ -332,7 +331,7 @@ def optimize_full_digital(
     F, m4, m6, lam1, lam2 = _initial_point(channels, config, f_init)
 
     diag = SolveDiagnostics()
-    prev_obj = penalized_objective(F, m4, m6, channels, config, lam1, lam2)
+    prev_obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
     outer_index = 0
 
     while True:
@@ -357,7 +356,7 @@ def optimize_full_digital(
                     )
                 F = 0.9 * F
                 m4, m6 = moment_targets(F)
-                prev_obj = penalized_objective(F, m4, m6, channels, config, lam1, lam2)
+                prev_obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
                 continue
             F = F_new
             diag.inner_traces.append(trace)
@@ -375,8 +374,9 @@ def optimize_full_digital(
             else:
                 m6 = update_sextic_moment(F, m4, config)
 
-            obj = penalized_objective(F, m4, m6, channels, config, lam1, lam2)
-            egrad = euclidean_gradient(F, m4, m6, channels, config, lam1, lam2)
+            penalty = moment_penalty(m4, m6, lam1, lam2)
+            obj = penalized_objective(F, penalty, channels, config)
+            egrad = euclidean_gradient(F, penalty, channels, config)
             grad_norm = float(np.linalg.norm(tangent_project(egrad, F)))
             power = radiated_power(F, beta1, beta3)[0]
             r4, r6 = _moment_residuals(F, m4, m6)
@@ -405,7 +405,7 @@ def optimize_full_digital(
         lam1 *= options.penalty_growth
         lam2 *= options.penalty_growth
         diag.growth_rounds += 1
-        prev_obj = penalized_objective(F, m4, m6, channels, config, lam1, lam2)
+        prev_obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
 
     diag.penalty1_final = lam1
     diag.penalty2_final = lam2

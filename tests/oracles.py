@@ -2,12 +2,15 @@
 
 Everything here is deliberately written along a different path than the
 library code: Monte-Carlo estimators for the amplifier statistics, central
-finite differences for gradients, and brute-force quadratic assembly plus a
-KKT linear solve for the constrained moment updates.
+finite differences for gradients, brute-force quadratic assembly plus a
+KKT linear solve for the constrained moment updates, and dense
+n_tx x n_tx forms of the link terms, the moment penalties and their
+gradient.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -129,3 +132,172 @@ def solve_trace_constrained_quadratic(
 def vec_to_matrix(x: np.ndarray, n: int) -> np.ndarray:
     """Inverse of the real parametrization used by the QP oracle."""
     return x[: n * n].reshape(n, n) + 1j * x[n * n :].reshape(n, n)
+
+
+# --- Dense n_tx x n_tx forms of the link terms, penalties and gradient. -----
+# The library evaluates these through thin face-splitting factors and, for
+# the penalty gradient, a fixed-moment expansion; the forms below build
+# C_x = F F^H and its Hadamard products explicitly.
+
+_LOG2E = 1.0 / np.log(2.0)
+
+
+@dataclass(frozen=True)
+class DistortionModel:
+    """Second-order amplifier statistics for a fixed precoder."""
+
+    bussgang_gain: np.ndarray  # diagonal (n_tx, n_tx)
+    distortion_cov: np.ndarray  # Hermitian PSD (n_tx, n_tx)
+    tx_cov: np.ndarray  # F F^H, Hermitian PSD, rank <= n_users
+
+    @classmethod
+    def from_precoder(cls, F: np.ndarray, beta1: complex, beta3: complex) -> "DistortionModel":
+        cov = F @ F.conj().T
+        gain = np.diag(beta1 + 2.0 * beta3 * np.real(np.diag(cov)))
+        dist = 2.0 * abs(beta3) ** 2 * cov * np.abs(cov) ** 2
+        return cls(bussgang_gain=gain, distortion_cov=dist, tx_cov=cov)
+
+    @property
+    def gain_diag(self) -> np.ndarray:
+        return np.diag(self.bussgang_gain)
+
+
+def user_sindr(h: np.ndarray, F: np.ndarray, k: int, distortion: DistortionModel, noise: float) -> float:
+    """SINDR of the user with channel h served by column k of F."""
+    rx = (h.conj() * distortion.gain_diag) @ F
+    powers = np.abs(rx) ** 2
+    interference = float(np.sum(powers) - powers[k])
+    dist = float(np.real(h.conj() @ distortion.distortion_cov @ h))
+    return float(powers[k] / (interference + dist + noise))
+
+
+def sensing_sndr(
+    steering: np.ndarray, target_gain: complex, F: np.ndarray, distortion: DistortionModel, noise: float
+) -> float:
+    """SNDR of the monostatic sensing link toward ``steering``."""
+    rx = (steering.conj() * distortion.gain_diag) @ F
+    signal = abs(target_gain) ** 2 * float(np.sum(np.abs(rx) ** 2))
+    dist = abs(target_gain) ** 2 * float(np.real(steering.conj() @ distortion.distortion_cov @ steering))
+    return signal / (dist + noise)
+
+
+def link_terms(F, channels, beta1, beta3, target_gain):
+    """(signal, interference, distortion, sense_signal, sense_distortion) with dense quadratic forms."""
+    cov = F @ F.conj().T
+    gain_diag = beta1 + 2.0 * beta3 * np.real(np.diag(cov))
+    dist_core = cov * np.abs(cov) ** 2  # C_x .* |C_x|^2
+    d3 = 2.0 * abs(beta3) ** 2
+
+    H = channels.user_channels  # (K, n_tx)
+    rx = (H.conj() * gain_diag[None, :]) @ F  # rx[k, i] = h_k^H B f_i
+    powers = np.abs(rx) ** 2
+    signal = np.diag(powers).copy()
+    interference = powers.sum(axis=1) - signal
+    distortion = d3 * np.real(np.einsum("ki,ij,kj->k", H.conj(), dist_core, H))
+
+    a = channels.sense_steering
+    arx = (a.conj() * gain_diag) @ F
+    sense_signal = abs(target_gain) ** 2 * float(np.sum(np.abs(arx) ** 2))
+    sense_distortion = d3 * abs(target_gain) ** 2 * float(np.real(a.conj() @ dist_core @ a))
+    return signal, interference, distortion, sense_signal, sense_distortion
+
+
+def weighted_objective(F, channels, config) -> float:
+    """Weighted sum of user rates and sensing MI from the dense link terms."""
+    signal, interference, distortion, sense_signal, sense_distortion = link_terms(
+        F, channels, config.beta1, config.beta3, config.target_gain
+    )
+    gammas = signal / (interference + distortion + config.noise_user_array)
+    gamma_s = sense_signal / (sense_distortion + config.noise_sense)
+    return config.weight_comm * float(np.log2(1.0 + gammas).sum()) + config.weight_sense * float(
+        np.log2(1.0 + gamma_s)
+    )
+
+
+def penalty_values(F: np.ndarray, m4: np.ndarray, m6: np.ndarray) -> tuple[float, float]:
+    """Squared Frobenius mismatches of the two moment matrices."""
+    cov = F @ F.conj().T
+    c1 = float(np.sum(np.abs(m4 - np.abs(cov) ** 2) ** 2))
+    c2 = float(np.sum(np.abs(m6 - m4 * cov) ** 2))
+    return c1, c2
+
+
+def penalized_objective(F, m4, m6, channels, config, penalty1, penalty2) -> float:
+    c1, c2 = penalty_values(F, m4, m6)
+    return weighted_objective(F, channels, config) + penalty1 * c1 + penalty2 * c2
+
+
+def _pair_grad(h, F, sig2, z_i, i, beta1, beta3) -> np.ndarray:
+    """d|h^H B f_i|^2 / dF* including the F-dependence of the diagonal gain."""
+    out = 2.0 * beta3 * z_i.conjugate() * (F[:, i] * h.conj())[:, None] * F
+    out += z_i * 2.0 * beta3.conjugate() * (F[:, i].conj() * h)[:, None] * F
+    out[:, i] += z_i * (beta1.conjugate() * h + 2.0 * beta3.conjugate() * (h * sig2))
+    return out
+
+
+def _distortion_grad(h: np.ndarray, cov: np.ndarray, F: np.ndarray, beta3: complex) -> np.ndarray:
+    """d(2|beta3|^2 h^H (C_x .* |C_x|^2) h) / dF*."""
+    outer = np.outer(h, h.conj())
+    core = 2.0 * outer * cov * cov.conj() + outer.conj() * cov * cov
+    return 2.0 * abs(beta3) ** 2 * (core @ F)
+
+
+def _moment4_penalty_grad(cov: np.ndarray, m4: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """d||m4 - |C_x|^2||_F^2 / dF*."""
+    re_sym = np.real(m4) + np.real(m4).T
+    return 4.0 * (cov * cov * cov.conj()) @ F - 2.0 * (re_sym * cov) @ F
+
+
+def _moment6_penalty_grad(cov: np.ndarray, m4: np.ndarray, m6: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """d||m6 - m4 .* C_x||_F^2 / dF*."""
+    quad = (m4 * m4.conj() * cov + m4.T * m4.conj().T * cov) @ F
+    cross = (m6 * m4.conj() + m6.conj().T * m4.T) @ F
+    return quad - cross
+
+
+def euclidean_gradient(F, m4, m6, channels, config, penalty1, penalty2) -> np.ndarray:
+    """Conjugate Wirtinger gradient of ``penalized_objective``, one probe pair at a time."""
+    k = F.shape[1]
+    beta1, beta3 = config.beta1, config.beta3
+    cov = F @ F.conj().T
+    sig2 = np.real(np.diag(cov))
+    gain_diag = beta1 + 2.0 * beta3 * sig2
+
+    H = channels.user_channels
+    rx = (H.conj() * gain_diag[None, :]) @ F
+    powers = np.abs(rx) ** 2
+    dist_core = cov * np.abs(cov) ** 2
+    d3 = 2.0 * abs(beta3) ** 2
+    user_dist = d3 * np.real(np.einsum("ki,ij,kj->k", H.conj(), dist_core, H))
+
+    grad = np.zeros_like(F)
+    noise = config.noise_user_array
+    for u in range(k):
+        h = H[u]
+        s_grad = _pair_grad(h, F, sig2, rx[u, u], u, beta1, beta3)
+        i_grad = np.zeros_like(F)
+        for i in range(k):
+            if i != u:
+                i_grad += _pair_grad(h, F, sig2, rx[u, i], i, beta1, beta3)
+        n_grad = i_grad + _distortion_grad(h, cov, F, beta3)
+        s_val = powers[u, u]
+        n_val = powers[u].sum() - s_val + user_dist[u] + noise[u]
+        scale = config.weight_comm * _LOG2E / (1.0 + s_val / n_val)
+        grad += scale * (n_val * s_grad - s_val * n_grad) / n_val**2
+
+    a = channels.sense_steering
+    gain_abs2 = abs(config.target_gain) ** 2
+    arx = (a.conj() * gain_diag) @ F
+    ss_grad = np.zeros_like(F)
+    for i in range(k):
+        ss_grad += _pair_grad(a, F, sig2, arx[i], i, beta1, beta3)
+    ss_grad *= gain_abs2
+    ns_grad = gain_abs2 * _distortion_grad(a, cov, F, beta3)
+    ss_val = gain_abs2 * float(np.sum(np.abs(arx) ** 2))
+    ns_val = d3 * gain_abs2 * float(np.real(a.conj() @ dist_core @ a)) + config.noise_sense
+    scale = config.weight_sense * _LOG2E / (1.0 + ss_val / ns_val)
+    grad += scale * (ns_val * ss_grad - ss_val * ns_grad) / ns_val**2
+
+    grad += penalty1 * _moment4_penalty_grad(cov, m4, F)
+    grad += penalty2 * _moment6_penalty_grad(cov, m4, m6, F)
+    return grad

@@ -20,16 +20,9 @@ from dabf.experiments import (
     run_convergence,
     run_sweep_nonlinearity,
 )
-from dabf.gradients import (
-    _moment4_penalty_grad,
-    _moment6_penalty_grad,
-    euclidean_gradient,
-    moment_targets,
-    penalized_objective,
-    penalty_values,
-)
+from dabf.gradients import NO_PENALTY, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from dabf.solver import optimize_full_digital, sphere_radius_sq, update_quartic_moment, update_sextic_moment
-from oracles import fd_wirtinger_grad, mc_amplifier_stats, solve_trace_constrained_quadratic
+from oracles import fd_wirtinger_grad, mc_amplifier_stats, penalty_values, solve_trace_constrained_quadratic
 
 BETA1 = 1.14 - 0.08j
 BETA3 = -0.08 + 0.1j
@@ -97,26 +90,24 @@ def test_criterion_2_gradient_matches_finite_differences():
     worst_full = 0.0
     for seed in range(10):
         cfg, ch, F, m4, m6 = _gradient_instance(seed)
-        lam1, lam2 = -3.0, -1.5
-        analytic = euclidean_gradient(F, m4, m6, ch, cfg, lam1, lam2)
-        fd = fd_wirtinger_grad(lambda X: penalized_objective(X, m4, m6, ch, cfg, lam1, lam2), F)
+        penalty = moment_penalty(m4, m6, -3.0, -1.5)
+        analytic = euclidean_gradient(F, penalty, ch, cfg)
+        fd = fd_wirtinger_grad(lambda X: penalized_objective(X, penalty, ch, cfg), F)
         worst_full = max(worst_full, np.linalg.norm(analytic - fd) / np.linalg.norm(fd))
 
     worst_term = 0.0
     for seed, weight in ((20, 1.0), (21, 0.0), (22, 0.5)):  # comm-only, sensing-only, rate-mix
         cfg, ch, F, m4, m6 = _gradient_instance(seed, weight_comm=weight)
-        analytic = euclidean_gradient(F, m4, m6, ch, cfg, 0.0, 0.0)
-        fd = fd_wirtinger_grad(lambda X: penalized_objective(X, m4, m6, ch, cfg, 0.0, 0.0), F)
+        analytic = euclidean_gradient(F, NO_PENALTY, ch, cfg)
+        fd = fd_wirtinger_grad(lambda X: penalized_objective(X, NO_PENALTY, ch, cfg), F)
         worst_term = max(worst_term, np.linalg.norm(analytic - fd) / np.linalg.norm(fd))
-    for seed in (23, 24):  # each penalty term alone
+    for seed in (23, 24):  # each penalty term alone: the gradient with it minus the one without
         cfg, ch, F, m4, m6 = _gradient_instance(seed)
-        cov = F @ F.conj().T
-        g4 = _moment4_penalty_grad(cov, m4, F)
-        fd4 = fd_wirtinger_grad(lambda X: penalty_values(X, m4, m6)[0], F)
-        worst_term = max(worst_term, np.linalg.norm(g4 - fd4) / np.linalg.norm(fd4))
-        g6 = _moment6_penalty_grad(cov, m4, m6, F)
-        fd6 = fd_wirtinger_grad(lambda X: penalty_values(X, m4, m6)[1], F)
-        worst_term = max(worst_term, np.linalg.norm(g6 - fd6) / np.linalg.norm(fd6))
+        rate_grad = euclidean_gradient(F, NO_PENALTY, ch, cfg)
+        for term, lams in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
+            g = euclidean_gradient(F, moment_penalty(m4, m6, *lams), ch, cfg) - rate_grad
+            fd = fd_wirtinger_grad(lambda X: penalty_values(X, m4, m6)[term], F)
+            worst_term = max(worst_term, np.linalg.norm(g - fd) / np.linalg.norm(fd))
 
     ok = worst_full < 1e-5 and worst_term < 1e-5
     report(

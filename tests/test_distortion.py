@@ -4,15 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dabf.distortion import (
-    DistortionModel,
-    bussgang_gain,
     bussgang_gain_diag,
     distortion_covariance,
     power_match_scale,
     radiated_power,
     scale_to_power,
 )
-from oracles import mc_amplifier_stats
+from oracles import DistortionModel, mc_amplifier_stats
 
 BETA1 = 1.14 - 0.08j
 BETA3 = -0.08 + 0.1j
@@ -25,13 +23,13 @@ def random_precoder(n_tx, k, seed, scale=1.0):
 
 def test_gain_reduces_to_linear_without_cubic_term():
     F = random_precoder(4, 2, 0)
-    np.testing.assert_allclose(bussgang_gain(F, BETA1, 0.0), BETA1 * np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(bussgang_gain_diag(F, BETA1, 0.0), np.full(4, BETA1), atol=1e-15)
 
 
 def test_gain_single_column_example():
     F = np.array([[1.0], [0.0]], dtype=complex)
-    expected = np.diag([BETA1 + 2 * BETA3, BETA1])
-    np.testing.assert_allclose(bussgang_gain(F, BETA1, BETA3), expected, atol=1e-15)
+    expected = np.array([BETA1 + 2 * BETA3, BETA1])
+    np.testing.assert_allclose(bussgang_gain_diag(F, BETA1, BETA3), expected, atol=1e-15)
 
 
 def test_gain_matches_monte_carlo_estimator():
@@ -156,7 +154,7 @@ def test_scale_to_power_rejects_zero():
 def test_model_bundles_consistent_pieces():
     F = random_precoder(5, 2, 21)
     model = DistortionModel.from_precoder(F, BETA1, BETA3)
-    np.testing.assert_allclose(model.bussgang_gain, bussgang_gain(F, BETA1, BETA3), atol=1e-13)
+    np.testing.assert_allclose(model.gain_diag, bussgang_gain_diag(F, BETA1, BETA3), atol=1e-13)
     np.testing.assert_allclose(model.distortion_cov, distortion_covariance(F, BETA3), atol=1e-13)
     np.testing.assert_allclose(model.tx_cov, F @ F.conj().T, atol=1e-13)
     assert np.linalg.matrix_rank(model.tx_cov) <= 2

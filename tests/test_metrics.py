@@ -4,16 +4,9 @@ from hypothesis import strategies as st
 
 from dabf.channel import draw_channels, steering_vector
 from dabf.config import SystemConfig
-from dabf.distortion import DistortionModel
-from dabf.gradients import moment_targets, penalized_objective
-from dabf.metrics import (
-    LinkTerms,
-    evaluate_metrics,
-    sensing_sndr,
-    user_sindr,
-    weighted_objective,
-    weighted_objective_from_terms,
-)
+from dabf.gradients import moment_penalty, moment_targets, penalized_objective
+from dabf.metrics import LinkTerms, evaluate_metrics, weighted_objective, weighted_objective_from_terms
+from oracles import DistortionModel, sensing_sndr, user_sindr
 
 BETA1 = 1.14 - 0.08j
 BETA3 = -0.08 + 0.1j
@@ -177,5 +170,5 @@ def test_penalized_objective_reduces_to_weighted_at_exact_moments():
     rng = np.random.default_rng(15)
     F = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
     m4, m6 = moment_targets(F)
-    full = penalized_objective(F, m4, m6, ch, cfg, -7.0, -3.0)
+    full = penalized_objective(F, moment_penalty(m4, m6, -7.0, -3.0), ch, cfg)
     assert abs(full - weighted_objective(F, ch, cfg)) < 1e-12
