@@ -15,7 +15,6 @@ from .metrics import MetricsReport, evaluate_metrics, probe_powers, weighted_obj
 from .solver import (
     DegeneratePA,
     InfeasibleMomentBudget,
-    MoIterate,
     OuterRecord,
     PrecoderState,
     SolveDiagnostics,
@@ -46,7 +45,6 @@ __all__ = [
     "InfeasibleMomentBudget",
     "MetricsReport",
     "MomentPenalty",
-    "MoIterate",
     "OuterRecord",
     "PrecoderState",
     "SolveDiagnostics",

@@ -12,17 +12,12 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import SolverOptions, SystemConfig
 from .distortion import scale_to_power
-from .solver import PrecoderState, SolveDiagnostics, optimize_full_digital
+from .solver import PrecoderState, SolveDiagnostics, _mrt_direction, optimize_full_digital
 
 
 def mrt_precoder(channels: ChannelRealization, config: SystemConfig) -> np.ndarray:
     """Matched-filter columns, globally scaled to the power budget."""
-    H = channels.user_channels
-    norms = np.linalg.norm(H, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero user channel; MRT undefined")
-    F = (H / norms[:, None]).T.copy()
-    return scale_to_power(F, config.p_tot, config.beta1, config.beta3)
+    return scale_to_power(_mrt_direction(channels), config.p_tot, config.beta1, config.beta3)
 
 
 def zf_precoder(

@@ -34,6 +34,10 @@ def noise_from_snr(p_tot_mw: float, snr_db: float) -> float:
 class SolverOptions:
     """Tolerances and iteration limits for the alternating optimizer.
 
+    ``max_mo_iters``, ``mo_grad_tol_scale``, the ``armijo_*`` options and the
+    stall threshold ``outer_tol / 10`` govern both ascents that share the
+    Fletcher-Reeves/Armijo engine: the sphere-constrained precoder update of
+    the full-digital solve and the digital-factor refinement of a hybrid.
     ``armijo_init_step`` is a dimensionless scale: the first trial step of
     the backtracking search is ``armijo_init_step / ||grad||_F``.
     """

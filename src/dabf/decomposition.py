@@ -9,15 +9,20 @@ Frobenius-optimal factors are not metric-optimal: the subarray structure
 cannot reproduce arbitrary per-antenna amplitude profiles, and fine features
 of the unconstrained precoder (for instance distortion nulls) wash out. The
 ``refine_digital`` pass therefore re-optimizes the digital factor against the
-actual rate objective at fixed analog phases.
+actual rate objective at fixed analog phases. It runs the same
+Fletcher-Reeves/Armijo engine as the full-digital solver, with a rescale onto
+the power budget as the retraction in place of the sphere's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import gradients
 from .config import ConfigError, SystemConfig
 from .distortion import power_match_scale
+from .metrics import weighted_objective
+from .solver import _ascend
 
 
 def _block_slices(n_tx: int, n_rf: int) -> list[slice]:
@@ -103,50 +108,27 @@ def analog_feasibility_check(F_A: np.ndarray, n_tx: int, n_rf: int, tol: float =
     return bool(np.all(np.abs(np.abs(F_A[mask]) - 1.0) <= tol))
 
 
-def refine_digital(
-    F_A: np.ndarray,
-    F_D: np.ndarray,
-    channels,
-    config: SystemConfig,
-    max_iters: int = 600,
-    grad_tol: float = 1e-7,
-) -> np.ndarray:
+def refine_digital(F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemConfig) -> np.ndarray:
     """Ascend the weighted rate objective over the digital factor.
 
-    Projected gradient ascent at fixed analog phases: each trial step moves
-    along the pulled-back objective gradient and rescales onto the exact
+    Runs the solver's Fletcher-Reeves/Armijo engine at fixed analog phases,
+    with ``config.solver`` as its options, the pulled-back gradient
+    ``F_A^H grad`` and, as the retraction, a rescale onto the exact
     output-power budget of ``config``. Pass the design-model configuration
     (e.g. one with the cubic coefficient zeroed) to refine a transmitter
     that believes in that model. The returned factor never has a lower
-    design-model objective than the input.
+    design-model objective than the power-matched input.
     """
-    from .gradients import NO_PENALTY, euclidean_gradient
-    from .metrics import weighted_objective
 
-    F_D = np.array(F_D, dtype=complex)
-    scale = power_match_scale(F_A @ F_D, config.p_tot, config.beta1, config.beta3)
-    F_D *= scale
-    obj = weighted_objective(F_A @ F_D, channels, config)
-    step = 1.0
-    for _ in range(max_iters):
-        grad = F_A.conj().T @ euclidean_gradient(F_A @ F_D, NO_PENALTY, channels, config)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < grad_tol:
-            break
-        t = step
-        accepted = False
-        for _ in range(60):
-            trial = F_D + t * grad
-            trial *= power_match_scale(F_A @ trial, config.p_tot, config.beta1, config.beta3)
-            trial_obj = weighted_objective(F_A @ trial, channels, config)
-            if trial_obj > obj + 1e-4 * t * grad_norm**2:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        F_D, obj, step = trial, trial_obj, 4.0 * t
-    return F_D
+    def fit(X: np.ndarray, step: np.ndarray) -> np.ndarray:
+        moved = X + step
+        return moved * power_match_scale(F_A @ moved, config.p_tot, config.beta1, config.beta3)
+
+    def gradient(X: np.ndarray) -> np.ndarray:
+        return F_A.conj().T @ gradients.euclidean_gradient(F_A @ X, gradients.NO_PENALTY, channels, config)
+
+    objective = lambda X: weighted_objective(F_A @ X, channels, config)
+    return _ascend(fit(F_D, 0.0), objective, gradient, fit, config.solver)[0]
 
 
 def match_hybrid_power(

@@ -117,7 +117,7 @@ def _known_pa_hybrid(
     channels: ChannelRealization,
     cfg: SystemConfig,
     F_known: np.ndarray,
-    F_blind: np.ndarray | None,
+    F_blind: np.ndarray,
 ) -> np.ndarray:
     """Best distortion-aware hybrid over two analog-phase sources.
 
@@ -128,75 +128,63 @@ def _known_pa_hybrid(
     transmitter knows its amplifier model, so it evaluates both refined
     candidates and keeps the better one.
     """
-    candidates = [_hybrid_product(F_known, cfg, channels=channels)]
-    if F_blind is not None:
-        candidates.append(_hybrid_product(F_blind, cfg, channels=channels))
+    candidates = [_hybrid_product(F, cfg, channels=channels) for F in (F_known, F_blind)]
     return max(candidates, key=lambda H: evaluate_metrics(channels, H, cfg).weighted_objective)
 
 
-def _scheme_full_digital(
-    scheme: str,
-    channels: ChannelRealization,
-    cfg: SystemConfig,
-    rbf_rng: np.random.Generator,
-) -> np.ndarray:
-    if scheme == "proposed_known":
-        return optimize_full_digital(channels, cfg)[0].full_digital
-    if scheme == "proposed_unknown":
-        return pa_blind_precoder(channels, cfg)[0].full_digital
-    if scheme == "mrt":
-        return mrt_precoder(channels, cfg)
-    if scheme == "zf":
-        return zf_precoder(channels, cfg)
-    if scheme == "rbf":
-        return rbf_precoder(cfg, rbf_rng)
-    raise ConfigError(f"unknown scheme {scheme!r}")
+def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: np.random.Generator):
+    """Function ``(scheme, grid config) -> reported hybrid`` for one channel realization.
+
+    Work that does not depend on the grid point is done once per designer.
+    Classical directions, and so their hybrid factors, depend only on the
+    channels: they are designed at ``base``, factored once and re-matched to
+    the power of each grid config. The linear design and its linear-model
+    hybrid depend on a grid config only through its linear version
+    (``beta3 = 0``), so one instance serves a whole nonlinearity grid. With a
+    linear amplifier the distortion-aware design is the linear one, so
+    ``proposed_known`` then reports the ``proposed_unknown`` hybrid.
+    """
+    memo: dict = {}
+    classical = {
+        "mrt": lambda: mrt_precoder(channels, base),
+        "zf": lambda: zf_precoder(channels, base),
+        "rbf": lambda: rbf_precoder(base, rbf_rng),
+    }
+
+    def once(key, make):
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    def hybrid(scheme: str, cfg: SystemConfig) -> np.ndarray:
+        if scheme in classical:
+            F_A, F_D, _ = once(scheme, lambda: decompose(classical[scheme](), base.n_rf))
+            return _fit_digital(F_A, F_D, cfg)
+        linear = cfg.with_updates(beta3=0j)
+        blind = once(("blind", linear), lambda: pa_blind_precoder(channels, cfg)[0].full_digital)
+        if scheme == "proposed_known" and cfg.beta3 != 0:
+            full = optimize_full_digital(channels, cfg)[0].full_digital
+            return _known_pa_hybrid(channels, cfg, full, blind)
+        return once(
+            ("unknown", linear),
+            lambda: _hybrid_product(blind, cfg, channels=channels, assume_linear=True),
+        )
+
+    return hybrid
 
 
 def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
     """(objective, radiated power) per (grid point, scheme) for one realization.
 
     Channel realizations are shared by every scheme and every grid point of
-    the sweep (paired comparison). Designs that do not depend on the swept
-    parameter are computed once and re-evaluated across the grid.
+    the sweep (paired comparison).
     """
     spec, index = args
     base = spec.system
     channels = draw_channels(base, realization_rng(spec.seed, index, 0))
-    rbf_rng = realization_rng(spec.seed, index, 1)
+    hybrid = _scheme_designer(channels, base, realization_rng(spec.seed, index, 1))
 
     out = np.zeros((len(spec.grid), len(spec.schemes), 2))
-    # Classical directions, and so their hybrid factors, depend only on the
-    # channels; factor them once and re-match the power at each grid point.
-    classical_factors = {
-        scheme: decompose(_scheme_full_digital(scheme, channels, base, rbf_rng), base.n_rf)[:2]
-        for scheme in spec.schemes
-        if scheme in ("mrt", "zf", "rbf")
-    }
-
-    # The linear design and its linear-model hybrid ignore beta3, so one
-    # instance of each serves the whole nonlinearity grid; an SNR grid changes
-    # both through the noise.
-    blind_cache: dict[int, np.ndarray] = {}
-    unknown_cache: dict[int, np.ndarray] = {}
-
-    def linear_key(gi: int) -> int:
-        return -1 if spec.kind == "sweep_nonlinearity" else gi
-
-    def blind_design(gi: int, cfg: SystemConfig) -> np.ndarray:
-        key = linear_key(gi)
-        if key not in blind_cache:
-            blind_cache[key] = pa_blind_precoder(channels, cfg)[0].full_digital
-        return blind_cache[key]
-
-    def unknown_hybrid(gi: int, cfg: SystemConfig) -> np.ndarray:
-        key = linear_key(gi)
-        if key not in unknown_cache:
-            unknown_cache[key] = _hybrid_product(
-                blind_design(gi, cfg), cfg, channels=channels, assume_linear=True
-            )
-        return unknown_cache[key]
-
     for gi, value in enumerate(spec.grid):
         if spec.kind == "sweep_nonlinearity":
             cfg = base.with_updates(beta3=scaled_cubic_coefficient(base.beta1, base.beta3, value))
@@ -204,15 +192,7 @@ def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
             noise = base.p_tot / 10.0 ** (value / 10.0)
             cfg = base.with_updates(noise_user=noise, noise_sense=noise)
         for si, scheme in enumerate(spec.schemes):
-            if scheme == "proposed_known":
-                full = optimize_full_digital(channels, cfg)[0].full_digital
-                blind = blind_design(gi, cfg) if cfg.beta3 != 0 else None
-                hybrid = _known_pa_hybrid(channels, cfg, full, blind)
-            elif scheme == "proposed_unknown":
-                hybrid = unknown_hybrid(gi, cfg)
-            else:
-                hybrid = _fit_digital(*classical_factors[scheme], cfg)
-            report = evaluate_metrics(channels, hybrid, cfg)
+            report = evaluate_metrics(channels, hybrid(scheme, cfg), cfg)
             out[gi, si, 0] = report.weighted_objective
             out[gi, si, 1] = report.radiated_power
     return out
@@ -372,19 +352,9 @@ def run_beam_pattern(spec: ExperimentSpec) -> str:
     angles = np.arange(0.0, ANGLE_MAX_DEG + spec.angle_step_deg / 2, spec.angle_step_deg)
 
     rows = []
-    rbf_rng = realization_rng(spec.seed, 0, 1)
+    hybrid = _scheme_designer(channels, cfg, realization_rng(spec.seed, 0, 1))
     for scheme in spec.schemes:
-        full = _scheme_full_digital(scheme, channels, cfg, rbf_rng)
-        if scheme == "proposed_known":
-            blind = (
-                pa_blind_precoder(channels, cfg)[0].full_digital if cfg.beta3 != 0 else None
-            )
-            hybrid = _known_pa_hybrid(channels, cfg, full, blind)
-        elif scheme == "proposed_unknown":
-            hybrid = _hybrid_product(full, cfg, channels=channels, assume_linear=True)
-        else:
-            hybrid = _hybrid_product(full, cfg)
-        lin_db, nl_db = beam_patterns(hybrid, cfg, angles)
+        lin_db, nl_db = beam_patterns(hybrid(scheme, cfg), cfg, angles)
         for a, ld, nd in zip(angles, lin_db, nl_db):
             rows.append([float(a), scheme, float(ld), float(nd)])
     header = ["angle_deg", "scheme", "linear_db", "nonlinear_db"]

@@ -15,6 +15,7 @@ Each step never decreases the penalized objective, and the triple
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,17 +32,6 @@ class DegeneratePA(RuntimeError):
 
 class InfeasibleMomentBudget(RuntimeError):
     """The moment matrices leave no power budget for the linear part."""
-
-
-@dataclass
-class MoIterate:
-    """Running state of the manifold conjugate-gradient loop."""
-
-    point: np.ndarray
-    direction: np.ndarray | None = None
-    fr_coeff: float = 0.0
-    step: float = 0.0
-    objective_trace: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -113,6 +103,94 @@ def sphere_radius_sq(m4: np.ndarray, m6: np.ndarray, config: SystemConfig) -> fl
     ) / abs(config.beta1) ** 2
 
 
+def _ascend(
+    point: np.ndarray,
+    objective: Callable[[np.ndarray], float],
+    gradient: Callable[[np.ndarray], np.ndarray],
+    retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    options: SolverOptions,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fletcher-Reeves conjugate-gradient ascent with Armijo backtracking.
+
+    ``gradient(X)`` is the Euclidean gradient of ``objective`` at ``X``; it and
+    the previous direction are projected onto the tangent space of the
+    sphere through ``X``. ``retract(X, step)`` maps ``X + step`` back onto the
+    feasible set; both the sphere retraction and the power-matching rescale
+    undo radial moves, so the radial projection fits either. Returns the
+    final point and the objective trace (length 1 + number of accepted
+    steps, non-decreasing by the Armijo acceptance rule).
+    """
+    grad_tol = options.mo_grad_tol(*point.shape)
+    restart_period = point.size
+    obj = objective(point)
+    trace = [obj]
+    direction = None
+    fr_coeff = 0.0
+    prev_step = 0.0
+    prev_grad_sq = 0.0
+    since_restart = 0
+    stall_window = 10
+
+    for _ in range(options.max_mo_iters):
+        grad = tangent_project(gradient(point), point)
+        grad_sq = float(np.real(np.vdot(grad, grad)))
+        grad_norm = np.sqrt(grad_sq)
+        if grad_norm <= grad_tol:
+            break
+
+        if direction is None or since_restart >= restart_period:
+            fr_coeff = 0.0
+            direction = grad
+            since_restart = 0
+        else:
+            fr_coeff = grad_sq / prev_grad_sq
+            direction = grad + fr_coeff * tangent_project(direction, point)
+            if float(np.real(np.vdot(direction, grad))) <= 0.0:
+                fr_coeff = 0.0
+                direction = grad
+                since_restart = 0
+
+        # Warm-started backtracking: reuse the previous accepted step (with
+        # headroom) so stiff stretches do not pay a full backtrack cascade
+        # every iteration; the cap is the configured 1/||grad|| initial step.
+        cap = options.armijo_init_step / grad_norm
+        step = min(4.0 * prev_step, cap) if prev_step > 0.0 else cap
+        accepted = False
+        while True:
+            for _ in range(options.armijo_max_backtracks):
+                candidate = retract(point, step * direction)
+                cand_obj = objective(candidate)
+                if cand_obj >= obj + options.armijo_slope * step * grad_sq:
+                    accepted = True
+                    break
+                step *= options.armijo_contraction
+            if accepted or fr_coeff == 0.0:
+                break
+            # The momentum direction can be too misaligned with the gradient
+            # for the acceptance rule; retry once along the gradient itself.
+            fr_coeff = 0.0
+            direction = grad
+            since_restart = 0
+            step = cap
+        if not accepted:
+            break  # stationary within line-search resolution
+
+        point = candidate
+        prev_step = step
+        trace.append(cand_obj)
+        obj = cand_obj
+        prev_grad_sq = grad_sq
+        since_restart += 1
+        # Stall stop: relative objective change over a short window of
+        # accepted steps, so a single cautious step cannot end the run.
+        if len(trace) > stall_window:
+            gained = obj - trace[-1 - stall_window]
+            if gained < options.outer_tol / 10.0 * max(abs(obj), 1e-12):
+                break
+
+    return point, np.asarray(trace)
+
+
 def manifold_cg(
     F_init: np.ndarray,
     m4: np.ndarray,
@@ -130,76 +208,13 @@ def manifold_cg(
     """
     c1 = sphere_radius_sq(m4, m6, config)
     penalty = moment_penalty(m4, m6, penalty1, penalty2)
-    it = MoIterate(point=retract(F_init, np.zeros_like(F_init), c1))
-    n_tx, k = it.point.shape
-    grad_tol = options.mo_grad_tol(n_tx, k)
-    restart_period = n_tx * k
-
-    obj = penalized_objective(it.point, penalty, channels, config)
-    it.objective_trace.append(obj)
-    prev_grad_sq = 0.0
-    since_restart = 0
-    stall_window = 10
-
-    for _ in range(options.max_mo_iters):
-        egrad = euclidean_gradient(it.point, penalty, channels, config)
-        grad = tangent_project(egrad, it.point)
-        grad_sq = float(np.real(np.vdot(grad, grad)))
-        grad_norm = np.sqrt(grad_sq)
-        if grad_norm <= grad_tol:
-            break
-
-        if it.direction is None or since_restart >= restart_period:
-            it.fr_coeff = 0.0
-            it.direction = grad
-            since_restart = 0
-        else:
-            it.fr_coeff = grad_sq / prev_grad_sq
-            it.direction = grad + it.fr_coeff * tangent_project(it.direction, it.point)
-            if float(np.real(np.vdot(it.direction, grad))) <= 0.0:
-                it.fr_coeff = 0.0
-                it.direction = grad
-                since_restart = 0
-
-        # Warm-started backtracking: reuse the previous accepted step (with
-        # headroom) so stiff stretches do not pay a full backtrack cascade
-        # every iteration; the cap is the configured 1/||grad|| initial step.
-        cap = options.armijo_init_step / grad_norm
-        step = min(4.0 * it.step, cap) if it.step > 0.0 else cap
-        accepted = False
-        while True:
-            for _ in range(options.armijo_max_backtracks):
-                candidate = retract(it.point, step * it.direction, c1)
-                cand_obj = penalized_objective(candidate, penalty, channels, config)
-                if cand_obj >= obj + options.armijo_slope * step * grad_sq:
-                    accepted = True
-                    break
-                step *= options.armijo_contraction
-            if accepted or it.fr_coeff == 0.0:
-                break
-            # The momentum direction can be too misaligned with the gradient
-            # for the acceptance rule; retry once along the gradient itself.
-            it.fr_coeff = 0.0
-            it.direction = grad
-            since_restart = 0
-            step = cap
-        if not accepted:
-            break  # stationary within line-search resolution
-
-        it.point = candidate
-        it.step = step
-        it.objective_trace.append(cand_obj)
-        obj = cand_obj
-        prev_grad_sq = grad_sq
-        since_restart += 1
-        # Stall stop: relative objective change over a short window of
-        # accepted steps, so a single cautious step cannot end the run.
-        if len(it.objective_trace) > stall_window:
-            gained = obj - it.objective_trace[-1 - stall_window]
-            if gained < options.outer_tol / 10.0 * max(abs(obj), 1e-12):
-                break
-
-    return it.point, np.asarray(it.objective_trace)
+    return _ascend(
+        retract(F_init, np.zeros_like(F_init), c1),
+        lambda F: penalized_objective(F, penalty, channels, config),
+        lambda F: euclidean_gradient(F, penalty, channels, config),
+        lambda F, step: retract(F, step, c1),
+        options,
+    )
 
 
 def update_quartic_moment(

@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dabf.config import ConfigError, SystemConfig
+from dabf import gradients
+from dabf.baselines import mrt_precoder
+from dabf.channel import draw_channels
+from dabf.config import ConfigError, SystemConfig, dbm_to_mw, noise_from_snr
 from dabf.decomposition import (
     analog_feasibility_check,
     analog_from_phases,
     decompose,
     match_hybrid_power,
+    refine_digital,
 )
 from dabf.distortion import radiated_power
+from dabf.metrics import weighted_objective
 
 
 def random_complex(shape, seed, scale=1.0):
@@ -138,3 +143,40 @@ def test_match_hybrid_power_believed_linear():
     assert abs(believed - cfg.p_tot) / cfg.p_tot < 1e-12
     true_power = radiated_power(F_A @ F_D, cfg.beta1, cfg.beta3)[0]
     assert abs(true_power - cfg.p_tot) / cfg.p_tot > 1e-4  # mismatch is real
+
+
+def refine_instance(n_tx, n_rf, seed, **kw):
+    p = dbm_to_mw(13.0)
+    n0 = noise_from_snr(p, 20.0)
+    cfg = SystemConfig(n_tx=n_tx, n_rf=n_rf, n_users=2, n_paths=3, p_tot=p, noise_user=n0, noise_sense=n0, **kw)
+    channels = draw_channels(cfg, np.random.default_rng(seed))
+    F_A, F_D, _ = decompose(mrt_precoder(channels, cfg), n_rf)
+    return cfg, channels, F_A, F_D
+
+
+@pytest.mark.parametrize("beta3", [-0.08 + 0.1j, 0j])
+def test_refine_digital_meets_design_budget_and_never_loses(beta3):
+    for seed in range(3):
+        cfg, channels, F_A, F_D = refine_instance(16, 4, seed, beta3=beta3)
+        refined = refine_digital(F_A, F_D, channels, cfg)
+        power = radiated_power(F_A @ refined, cfg.beta1, cfg.beta3)[0]
+        assert abs(power - cfg.p_tot) <= 1e-10 * cfg.p_tot
+        if beta3 == 0:
+            linear_power = abs(cfg.beta1) ** 2 * np.linalg.norm(F_A @ refined) ** 2
+            assert abs(linear_power - cfg.p_tot) <= 1e-10 * cfg.p_tot
+        start = F_A @ match_hybrid_power(F_A, F_D, cfg)
+        assert weighted_objective(F_A @ refined, channels, cfg) >= weighted_objective(start, channels, cfg)
+
+
+def test_refine_digital_gradient_calls_within_solver_cap(monkeypatch):
+    cfg, channels, F_A, F_D = refine_instance(64, 16, 7)
+    calls = []
+    original = gradients.euclidean_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gradients, "euclidean_gradient", counted)
+    refine_digital(F_A, F_D, channels, cfg)
+    assert 0 < len(calls) <= cfg.solver.max_mo_iters
