@@ -79,37 +79,24 @@ def scaled_cubic_coefficient(beta1: complex, beta3: complex, rho: float) -> comp
     return rho * abs(beta1) * (beta3 / abs(beta3))
 
 
-def _hybrid_product(
-    F_full: np.ndarray,
-    cfg: SystemConfig,
-    channels: ChannelRealization | None = None,
-    assume_linear: bool = False,
-) -> np.ndarray:
-    """Decompose into hybrid factors and re-match the power budget (see ``_fit_digital``)."""
-    F_A, F_D, _ = decompose(F_full, cfg.n_rf)
-    return _fit_digital(F_A, F_D, cfg, channels, assume_linear)
-
-
 def _fit_digital(
     F_A: np.ndarray,
     F_D: np.ndarray,
     cfg: SystemConfig,
     channels: ChannelRealization | None = None,
-    assume_linear: bool = False,
 ) -> np.ndarray:
-    """Hybrid product after fitting the digital factor to the power budget.
+    """Hybrid product after fitting the digital factor to the power budget of ``cfg``.
 
     When ``channels`` is given (the optimizer-driven schemes), the digital
-    factor is additionally refined against the scheme's own design model: the
-    true amplifier for the distortion-aware design, the idealized linear one
-    for the PA-blind design. Classical baselines skip refinement; they commit
-    to their textbook directions.
+    factor is additionally refined with ``cfg`` as the scheme's own design
+    model: the true amplifier for the distortion-aware design, the linear
+    version of the grid config for the PA-blind design. Classical baselines
+    skip refinement; they commit to their textbook directions.
     """
-    design_cfg = cfg.with_updates(beta3=0j) if assume_linear else cfg
     if channels is not None:
-        F_D = refine_digital(F_A, F_D, channels, design_cfg)
+        F_D = refine_digital(F_A, F_D, channels, cfg)
     else:
-        F_D = match_hybrid_power(F_A, F_D, design_cfg)
+        F_D = match_hybrid_power(F_A, F_D, cfg)
     return F_A @ F_D
 
 
@@ -117,7 +104,7 @@ def _known_pa_hybrid(
     channels: ChannelRealization,
     cfg: SystemConfig,
     F_known: np.ndarray,
-    F_blind: np.ndarray,
+    blind_factors: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Best distortion-aware hybrid over two analog-phase sources.
 
@@ -126,9 +113,11 @@ def _known_pa_hybrid(
     factorization can inherit weak analog phases. The linear design's
     factorization is a second, often better-conditioned source. The
     transmitter knows its amplifier model, so it evaluates both refined
-    candidates and keeps the better one.
+    candidates and keeps the better one. ``blind_factors`` are the (analog,
+    digital) factors of the linear design.
     """
-    candidates = [_hybrid_product(F, cfg, channels=channels) for F in (F_known, F_blind)]
+    factors = (decompose(F_known, cfg.n_rf)[:2], blind_factors)
+    candidates = [_fit_digital(F_A, F_D, cfg, channels) for F_A, F_D in factors]
     return max(candidates, key=lambda H: evaluate_metrics(channels, H, cfg).weighted_objective)
 
 
@@ -138,11 +127,11 @@ def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: 
     Work that does not depend on the grid point is done once per designer.
     Classical directions, and so their hybrid factors, depend only on the
     channels: they are designed at ``base``, factored once and re-matched to
-    the power of each grid config. The linear design and its linear-model
-    hybrid depend on a grid config only through its linear version
-    (``beta3 = 0``), so one instance serves a whole nonlinearity grid. With a
-    linear amplifier the distortion-aware design is the linear one, so
-    ``proposed_known`` then reports the ``proposed_unknown`` hybrid.
+    the power of each grid config. The linear design, its hybrid factors and
+    its linear-model hybrid depend on a grid config only through its linear
+    version (``beta3 = 0``), so one instance serves a whole nonlinearity
+    grid. With a linear amplifier the distortion-aware design is the linear
+    one, so ``proposed_known`` then reports the ``proposed_unknown`` hybrid.
     """
     memo: dict = {}
     classical = {
@@ -161,14 +150,14 @@ def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: 
             F_A, F_D, _ = once(scheme, lambda: decompose(classical[scheme](), base.n_rf))
             return _fit_digital(F_A, F_D, cfg)
         linear = cfg.with_updates(beta3=0j)
-        blind = once(("blind", linear), lambda: pa_blind_precoder(channels, cfg)[0].full_digital)
+        blind = once(
+            ("blind", linear),
+            lambda: decompose(pa_blind_precoder(channels, linear)[0].full_digital, cfg.n_rf)[:2],
+        )
         if scheme == "proposed_known" and cfg.beta3 != 0:
             full = optimize_full_digital(channels, cfg)[0].full_digital
             return _known_pa_hybrid(channels, cfg, full, blind)
-        return once(
-            ("unknown", linear),
-            lambda: _hybrid_product(blind, cfg, channels=channels, assume_linear=True),
-        )
+        return once(("unknown", linear), lambda: _fit_digital(*blind, linear, channels))
 
     return hybrid
 

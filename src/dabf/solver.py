@@ -3,13 +3,20 @@
 One outer round alternates three exact subproblem solves:
 
 1. Riemannian conjugate-gradient ascent of the penalized objective over the
-   fixed-Frobenius-norm sphere implied by the current moment matrices.
-2. Closed-form constrained update of the quartic moment matrix (trace pinned
-   by the power budget).
-3. Hyperplane projection update of the sextic moment matrix.
+   fixed-Frobenius-norm sphere implied by the current moments.
+2. Closed-form constrained update of the quartic moment (trace pinned by the
+   power budget).
+3. Hyperplane projection update of the sextic moment.
 
 Each step never decreases the penalized objective, and the triple
 (precoder, m4, m6) keeps the expanded power-budget equality exact.
+
+The budget reads the moments only through their traces, so they are kept as
+their diagonals (real length-n_tx vectors). This is a restriction, not a
+different method: each diagonal entry of the two closed-form updates over
+full Hermitian moment matrices depends only on diagonal inputs, so the
+vector updates are exactly those diagonals, and the off-diagonal residuals
+vanish at every fixed point of the alternation.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import SolverOptions, SystemConfig
 from .distortion import radiated_power, scale_to_power
-from .gradients import euclidean_gradient, moment_penalty, moment_targets, penalized_objective
+from .gradients import _row_powers, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from .metrics import weighted_objective
 
 
@@ -31,12 +38,16 @@ class DegeneratePA(RuntimeError):
 
 
 class InfeasibleMomentBudget(RuntimeError):
-    """The moment matrices leave no power budget for the linear part."""
+    """The moments leave no power budget for the linear part."""
 
 
 @dataclass(frozen=True)
 class PrecoderState:
-    """Full-digital solution with auxiliary moments and optional hybrid factors."""
+    """Full-digital solution with optional hybrid factors.
+
+    ``moment4`` and ``moment6`` are the auxiliary diagonal moments, real
+    length-n_tx vectors (sigma^4 and sigma^6 of the returned precoder).
+    """
 
     full_digital: np.ndarray
     moment4: np.ndarray
@@ -98,8 +109,8 @@ def sphere_radius_sq(m4: np.ndarray, m6: np.ndarray, config: SystemConfig) -> fl
     re_b = (config.beta1.conjugate() * config.beta3).real
     return (
         config.p_tot
-        - 4.0 * re_b * float(np.real(np.trace(m4)))
-        - 6.0 * abs(config.beta3) ** 2 * float(np.real(np.trace(m6)))
+        - 4.0 * re_b * float(np.sum(m4))
+        - 6.0 * abs(config.beta3) ** 2 * float(np.sum(m6))
     ) / abs(config.beta1) ** 2
 
 
@@ -224,10 +235,11 @@ def update_quartic_moment(
     penalty1: float,
     penalty2: float,
 ) -> tuple[np.ndarray, float]:
-    """Trace-constrained maximizer of the penalty terms over the quartic moment.
+    """Trace-constrained maximizer of the penalty terms over the diagonal quartic moment.
 
     The update is entrywise (the quadratic decouples); the real dual shifts
-    the diagonal so the trace matches the power-budget residual exactly.
+    every entry so the sum matches the power-budget residual exactly.
+    Returns (m4, dual).
     """
     re_b = (config.beta1.conjugate() * config.beta3).real
     if re_b == 0.0:
@@ -236,23 +248,19 @@ def update_quartic_moment(
     trace_target = (
         config.p_tot
         - abs(config.beta1) ** 2 * norm_sq
-        - 6.0 * abs(config.beta3) ** 2 * float(np.real(np.trace(m6)))
+        - 6.0 * abs(config.beta3) ** 2 * float(np.sum(m6))
     ) / (4.0 * re_b)
 
-    cov = F @ F.conj().T
-    sq_cov = np.abs(cov) ** 2
-    xi = penalty1 + penalty2 * sq_cov  # strictly negative entrywise
-    base = (penalty1 * sq_cov + penalty2 * (m6 * cov.conj())) / xi
-    xi_diag = np.real(np.diag(xi))
-    dual = (trace_target - float(np.real(np.trace(base)))) / (0.5 * float(np.sum(1.0 / xi_diag)))
-    m4 = base.astype(complex)
-    m4[np.diag_indices_from(m4)] += (dual / 2.0) / xi_diag
-    m4 = 0.5 * (m4 + m4.conj().T)
-    return m4, dual
+    sig2 = _row_powers(F)
+    sig4 = sig2**2
+    xi = penalty1 + penalty2 * sig4  # strictly negative entrywise
+    base = (penalty1 * sig4 + penalty2 * m6 * sig2) / xi
+    dual = (trace_target - float(np.sum(base))) / (0.5 * float(np.sum(1.0 / xi)))
+    return base + (dual / 2.0) / xi, dual
 
 
 def update_sextic_moment(F: np.ndarray, m4: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Projection of m4 .* C_x onto the trace hyperplane set by the power budget."""
+    """Projection of m4 .* sigma^2 onto the trace hyperplane set by the power budget."""
     if config.beta3 == 0:
         raise DegeneratePA("sextic-moment trace target undefined for beta3 = 0")
     re_b = (config.beta1.conjugate() * config.beta3).real
@@ -260,12 +268,10 @@ def update_sextic_moment(F: np.ndarray, m4: np.ndarray, config: SystemConfig) ->
     trace_target = (
         config.p_tot
         - abs(config.beta1) ** 2 * norm_sq
-        - 4.0 * re_b * float(np.real(np.trace(m4)))
+        - 4.0 * re_b * float(np.sum(m4))
     ) / (6.0 * abs(config.beta3) ** 2)
-    target = m4 * (F @ F.conj().T)
-    n_tx = F.shape[0]
-    m6 = target - ((np.trace(target) - trace_target) / n_tx) * np.eye(n_tx)
-    return 0.5 * (m6 + m6.conj().T)
+    target = m4 * _row_powers(F)
+    return target - (float(np.sum(target)) - trace_target) / F.shape[0]
 
 
 def _mrt_direction(channels: ChannelRealization) -> np.ndarray:
@@ -334,9 +340,12 @@ def optimize_full_digital(
     """Solve the penalized design problem by alternating exact subproblem updates.
 
     Starts from power-matched matched-filter columns (or ``f_init`` rescaled
-    to the power budget) with the moment matrices at their exact values. If
-    the moment residuals exceed tolerance at convergence, the penalty
-    magnitudes grow and the alternation continues.
+    to the power budget) with the moments at their exact values. If the
+    moment residuals exceed tolerance at convergence, the penalty magnitudes
+    grow and the alternation continues. ``converged`` is true only when the
+    last stage stalled below ``outer_tol`` with the moment residuals within
+    ``moment_residual_tol`` (or with the penalties off); a solve that ends on
+    its round or growth budget reports false.
     """
     options = options or config.solver
     beta1, beta3 = config.beta1, config.beta3
@@ -350,7 +359,7 @@ def optimize_full_digital(
     outer_index = 0
 
     while True:
-        converged = False
+        stalled = False
         # Growth stages only re-tighten the moments around an already good
         # precoder, so they get a reduced round budget.
         stage_budget = (
@@ -366,7 +375,7 @@ def optimize_full_digital(
                 diag.rescues += 1
                 if diag.rescues > options.max_rescues:
                     raise InfeasibleMomentBudget(
-                        "moment matrices repeatedly exhausted the power budget "
+                        "moments repeatedly exhausted the power budget "
                         f"after {options.max_rescues} rescale attempts"
                     )
                 F = 0.9 * F
@@ -385,7 +394,7 @@ def optimize_full_digital(
             else:
                 m4, _ = update_quartic_moment(F, m6, config, lam1, lam2)
             if hold_m6:
-                m6 = m4 * (F @ F.conj().T)
+                m6 = m4 * _row_powers(F)
             else:
                 m6 = update_sextic_moment(F, m4, config)
 
@@ -409,13 +418,15 @@ def optimize_full_digital(
             rel = abs(obj - prev_obj) / max(abs(prev_obj), 1e-12)
             prev_obj = obj
             if rel < options.outer_tol:
-                converged = True
+                stalled = True
                 break
 
         r4, r6 = _moment_residuals(F, m4, m6)
-        within_tol = r4 <= options.moment_residual_tol and r6 <= options.moment_residual_tol
-        if within_tol or diag.growth_rounds >= options.max_growth_rounds or (lam1 == 0.0 and lam2 == 0.0):
-            diag.converged = converged
+        settled = (r4 <= options.moment_residual_tol and r6 <= options.moment_residual_tol) or (
+            lam1 == 0.0 and lam2 == 0.0
+        )
+        if settled or diag.growth_rounds >= options.max_growth_rounds:
+            diag.converged = stalled and settled
             break
         lam1 *= options.penalty_growth
         lam2 *= options.penalty_growth
@@ -427,7 +438,7 @@ def optimize_full_digital(
 
     # Feasibility restoration: the penalty equilibrium leaves a small bias in
     # the true output power, so return a precoder rescaled onto the exact
-    # budget with the moment matrices at their exact values.
+    # budget with the moments at their exact values.
     F = scale_to_power(F, config.p_tot, beta1, beta3, rel_tol=1e-14)
     m4, m6 = moment_targets(F)
     diag.final_power_residual = (

@@ -3,9 +3,10 @@
 Everything here is deliberately written along a different path than the
 library code: Monte-Carlo estimators for the amplifier statistics, central
 finite differences for gradients, brute-force quadratic assembly plus a
-KKT linear solve for the constrained moment updates, and dense
-n_tx x n_tx forms of the link terms, the moment penalties and their
-gradient.
+KKT linear solve for the constrained moment updates, the closed-form moment
+updates over full n_tx x n_tx Hermitian matrices (whose diagonals the
+library's vector updates must equal), and dense n_tx x n_tx forms of the
+link terms, the moment penalties and their gradient.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from dabf.solver import DegeneratePA
 
 
 def mc_amplifier_stats(
@@ -134,10 +137,66 @@ def vec_to_matrix(x: np.ndarray, n: int) -> np.ndarray:
     return x[: n * n].reshape(n, n) + 1j * x[n * n :].reshape(n, n)
 
 
+# --- Closed-form moment updates over full n_tx x n_tx matrices. -------------
+# The library keeps only the diagonal moments, which is all the power budget
+# reads. Each diagonal entry of these updates depends only on diagonal
+# inputs, so the library's vector updates must equal their diagonals; these
+# full-matrix forms are in turn checked against the KKT oracle above.
+
+
+def moment_matrices(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact full moment matrices (|C_x|^2, |C_x|^2 .* C_x) with C_x = F F^H."""
+    cov = F @ F.conj().T
+    m4 = np.abs(cov) ** 2
+    return m4, m4 * cov
+
+
+def update_quartic_moment(F, m6, config, penalty1, penalty2) -> tuple[np.ndarray, float]:
+    """Trace-constrained maximizer of the penalty terms over the quartic moment matrix."""
+    re_b = (config.beta1.conjugate() * config.beta3).real
+    if re_b == 0.0:
+        raise DegeneratePA("quartic-moment trace target undefined for Re(beta1* beta3) = 0")
+    norm_sq = float(np.real(np.vdot(F, F)))
+    trace_target = (
+        config.p_tot
+        - abs(config.beta1) ** 2 * norm_sq
+        - 6.0 * abs(config.beta3) ** 2 * float(np.real(np.trace(m6)))
+    ) / (4.0 * re_b)
+
+    cov = F @ F.conj().T
+    sq_cov = np.abs(cov) ** 2
+    xi = penalty1 + penalty2 * sq_cov  # strictly negative entrywise
+    base = (penalty1 * sq_cov + penalty2 * (m6 * cov.conj())) / xi
+    xi_diag = np.real(np.diag(xi))
+    dual = (trace_target - float(np.real(np.trace(base)))) / (0.5 * float(np.sum(1.0 / xi_diag)))
+    m4 = base.astype(complex)
+    m4[np.diag_indices_from(m4)] += (dual / 2.0) / xi_diag
+    m4 = 0.5 * (m4 + m4.conj().T)
+    return m4, dual
+
+
+def update_sextic_moment(F, m4, config) -> np.ndarray:
+    """Projection of the matrix m4 .* C_x onto the trace hyperplane set by the power budget."""
+    if config.beta3 == 0:
+        raise DegeneratePA("sextic-moment trace target undefined for beta3 = 0")
+    re_b = (config.beta1.conjugate() * config.beta3).real
+    norm_sq = float(np.real(np.vdot(F, F)))
+    trace_target = (
+        config.p_tot
+        - abs(config.beta1) ** 2 * norm_sq
+        - 4.0 * re_b * float(np.real(np.trace(m4)))
+    ) / (6.0 * abs(config.beta3) ** 2)
+    target = m4 * (F @ F.conj().T)
+    n_tx = F.shape[0]
+    m6 = target - ((np.trace(target) - trace_target) / n_tx) * np.eye(n_tx)
+    return 0.5 * (m6 + m6.conj().T)
+
+
 # --- Dense n_tx x n_tx forms of the link terms, penalties and gradient. -----
-# The library evaluates these through thin face-splitting factors and, for
-# the penalty gradient, a fixed-moment expansion; the forms below build
-# C_x = F F^H and its Hadamard products explicitly.
+# The library evaluates these through thin face-splitting factors and the
+# penalties through row powers; the forms below build C_x = F F^H and its
+# Hadamard products explicitly. The diagonal moments m4, m6 (length n_tx)
+# enter as diagonal matrices, and the penalties as the diagonal mismatches.
 
 _LOG2E = 1.0 / np.log(2.0)
 
@@ -215,10 +274,11 @@ def weighted_objective(F, channels, config) -> float:
 
 
 def penalty_values(F: np.ndarray, m4: np.ndarray, m6: np.ndarray) -> tuple[float, float]:
-    """Squared Frobenius mismatches of the two moment matrices."""
+    """Squared mismatches of the diagonal moments against the diagonal of the dense targets."""
     cov = F @ F.conj().T
-    c1 = float(np.sum(np.abs(m4 - np.abs(cov) ** 2) ** 2))
-    c2 = float(np.sum(np.abs(m6 - m4 * cov) ** 2))
+    eye = np.eye(cov.shape[0])
+    c1 = float(np.sum(np.abs(np.diag(m4) - eye * np.abs(cov) ** 2) ** 2))
+    c2 = float(np.sum(np.abs(np.diag(m6) - np.diag(m4) * cov) ** 2))
     return c1, c2
 
 
@@ -243,15 +303,17 @@ def _distortion_grad(h: np.ndarray, cov: np.ndarray, F: np.ndarray, beta3: compl
 
 
 def _moment4_penalty_grad(cov: np.ndarray, m4: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """d||m4 - |C_x|^2||_F^2 / dF*."""
-    re_sym = np.real(m4) + np.real(m4).T
-    return 4.0 * (cov * cov * cov.conj()) @ F - 2.0 * (re_sym * cov) @ F
+    """d||m4 - diag(|C_x|^2)||^2 / dF*: the full-matrix gradient with both matrices masked to the diagonal."""
+    eye = np.eye(cov.shape[0])
+    M4 = np.diag(m4)
+    return 4.0 * (eye * cov * cov * cov.conj()) @ F - 2.0 * ((M4 + M4.T) * cov) @ F
 
 
 def _moment6_penalty_grad(cov: np.ndarray, m4: np.ndarray, m6: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """d||m6 - m4 .* C_x||_F^2 / dF*."""
-    quad = (m4 * m4.conj() * cov + m4.T * m4.conj().T * cov) @ F
-    cross = (m6 * m4.conj() + m6.conj().T * m4.T) @ F
+    """d||m6 - m4 .* diag(C_x)||^2 / dF*, from the full-matrix gradient at diagonal moments."""
+    M4, M6 = np.diag(m4), np.diag(m6)
+    quad = (M4 * M4.conj() * cov + M4.T * M4.conj().T * cov) @ F
+    cross = (M6 * M4.conj() + M6.conj().T * M4.T) @ F
     return quad - cross
 
 

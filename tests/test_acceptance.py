@@ -22,6 +22,7 @@ from dabf.experiments import (
 )
 from dabf.gradients import NO_PENALTY, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from dabf.solver import optimize_full_digital, sphere_radius_sq, update_quartic_moment, update_sextic_moment
+import oracles
 from oracles import fd_wirtinger_grad, mc_amplifier_stats, penalty_values, solve_trace_constrained_quadratic
 
 BETA1 = 1.14 - 0.08j
@@ -83,7 +84,7 @@ def _gradient_instance(seed, weight_comm=0.5, beta3=BETA3):
     rng = np.random.default_rng(seed + 5000)
     F = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
     m4, m6 = moment_targets(F + 0.1 * rng.standard_normal((4, 2)))
-    return cfg, ch, F, 0.5 * (m4 + m4.conj().T), 0.5 * (m6 + m6.conj().T)
+    return cfg, ch, F, m4, m6
 
 
 def test_criterion_2_gradient_matches_finite_differences():
@@ -118,7 +119,10 @@ def test_criterion_2_gradient_matches_finite_differences():
 
 
 def test_criterion_3_closed_form_updates_match_oracles():
-    worst_u = worst_v = worst_tru = worst_trv = 0.0
+    # The KKT oracle checks the closed-form updates over full moment matrices
+    # (oracles.update_*); the library keeps the diagonal moments, and its
+    # updates must equal the diagonals of the full-matrix ones.
+    worst_u = worst_v = worst_tru = worst_trv = worst_diag = 0.0
     for n, k, seed in ((3, 1, 0), (4, 2, 1), (5, 1, 2), (6, 3, 3)):
         F = random_precoder(n, k, 300 + seed)
         F *= np.sqrt(2.0) / np.linalg.norm(F)
@@ -127,10 +131,12 @@ def test_criterion_3_closed_form_updates_match_oracles():
             n_tx=n, n_rf=k, n_users=k, n_paths=2, p_tot=p_tot, noise_user=0.1, noise_sense=0.1
         )
         cov = F @ F.conj().T
-        m6_seed = moment_targets(F)[1]
+        m6_seed = oracles.moment_matrices(F)[1]
         m6 = 0.55 * (m6_seed + m6_seed.conj().T)
         lam1, lam2 = -2.0, -0.7
-        m4, _ = update_quartic_moment(F, m6, cfg, lam1, lam2)
+        m4, _ = oracles.update_quartic_moment(F, m6, cfg, lam1, lam2)
+        m4_diag, _ = update_quartic_moment(F, np.real(np.diag(m6)), cfg, lam1, lam2)
+        worst_diag = max(worst_diag, float(np.max(np.abs(m4_diag - np.diag(m4)))))
         c2 = (
             cfg.p_tot
             - abs(cfg.beta1) ** 2 * np.linalg.norm(F) ** 2
@@ -146,8 +152,10 @@ def test_criterion_3_closed_form_updates_match_oracles():
         worst_u = max(worst_u, float(np.max(np.abs(m4 - oracle_u))))
         worst_tru = max(worst_tru, abs(np.real(np.trace(m4)) - c2) / max(abs(c2), 1e-12))
 
-        m4b = moment_targets(F)[0] * 1.05
-        m6b = update_sextic_moment(F, m4b, cfg)
+        m4b = oracles.moment_matrices(F)[0] * 1.05
+        m6b = oracles.update_sextic_moment(F, m4b, cfg)
+        m6_diag = update_sextic_moment(F, np.real(np.diag(m4b)), cfg)
+        worst_diag = max(worst_diag, float(np.max(np.abs(m6_diag - np.diag(m6b)))))
         c3 = (
             cfg.p_tot
             - abs(cfg.beta1) ** 2 * np.linalg.norm(F) ** 2
@@ -163,12 +171,13 @@ def test_criterion_3_closed_form_updates_match_oracles():
         worst_v = max(worst_v, float(np.max(np.abs(m6b - oracle_v))))
         worst_trv = max(worst_trv, abs(np.real(np.trace(m6b)) - c3) / max(abs(c3), 1e-12))
 
-    ok = worst_u < 1e-8 and worst_v < 1e-8 and worst_tru < 1e-8 and worst_trv < 1e-12
+    ok = worst_u < 1e-8 and worst_v < 1e-8 and worst_tru < 1e-8 and worst_trv < 1e-12 and worst_diag <= 1e-12
     report(
         "criterion 3 (closed-form moment updates vs KKT oracles)",
         ok,
         f"entrywise err: quartic {worst_u:.2e}, sextic {worst_v:.2e} (<1e-8); "
-        f"trace err: quartic {worst_tru:.2e} (<1e-8), sextic {worst_trv:.2e} (<1e-12)",
+        f"trace err: quartic {worst_tru:.2e} (<1e-8), sextic {worst_trv:.2e} (<1e-12); "
+        f"library vs diagonal {worst_diag:.2e} (<=1e-12)",
     )
 
 

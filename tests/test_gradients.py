@@ -14,6 +14,7 @@ from dabf.gradients import (
     penalized_objective,
 )
 from dabf.metrics import link_terms
+from dabf.solver import sphere_radius_sq, update_quartic_moment, update_sextic_moment
 from oracles import fd_wirtinger_grad
 
 
@@ -36,8 +37,6 @@ def make_instance(seed, weight_comm=0.5, beta3=-0.08 + 0.1j, n_tx=4, k=2):
     F = (rng.standard_normal((n_tx, k)) + 1j * rng.standard_normal((n_tx, k))) / np.sqrt(2)
     # Off-target moments so the penalty terms are active.
     m4, m6 = moment_targets(F + 0.1 * rng.standard_normal((n_tx, k)))
-    m4 = 0.5 * (m4 + m4.conj().T)
-    m6 = 0.5 * (m6 + m6.conj().T)
     return cfg, ch, F, m4, m6
 
 
@@ -161,9 +160,8 @@ def test_kernels_match_dense_oracles(n_tx, k, beta3, lams):
 @pytest.mark.parametrize("n_tx,k", [(4, 1), (16, 2), (64, 4)])
 @pytest.mark.parametrize("quartic", [True, False])
 def test_penalty_vanishes_at_exact_moments(n_tx, k, quartic):
-    # At the targets the terms of the gradient's expansion cancel; what is
-    # left is measured against their size, the gradient of the penalty with
-    # the moment in question set to zero. The value is summed from residuals.
+    # At the targets the residuals vanish; the gradient is measured against
+    # the size of the penalty gradient with the moment in question set to zero.
     cfg, ch, F, _, _ = make_instance(40 + n_tx, n_tx=n_tx, k=k)
     m4, m6 = moment_targets(F)
     cov = F @ F.conj().T
@@ -180,17 +178,26 @@ def test_penalty_vanishes_at_exact_moments(n_tx, k, quartic):
 
 def test_kernels_allocate_no_dense_matrix():
     # One dense n_tx x n_tx complex matrix at n_tx = 256 is 1 MiB; a warm call
-    # of either kernel must peak below half of that.
+    # of any kernel or moment step must peak below half of that.
     n_tx, k = 256, 2
     cfg, ch, F, m4, m6 = make_instance(50, n_tx=n_tx, k=k)
     penalty = moment_penalty(m4, m6, -3.0, -1.5)
     limit = n_tx * n_tx * 16 // 2
-    for kernel in (penalized_objective, euclidean_gradient):
-        kernel(F, penalty, ch, cfg)  # warm
+    calls = {
+        "penalized_objective": lambda: penalized_objective(F, penalty, ch, cfg),
+        "euclidean_gradient": lambda: euclidean_gradient(F, penalty, ch, cfg),
+        "moment_targets": lambda: moment_targets(F),
+        "moment_penalty": lambda: moment_penalty(m4, m6, -3.0, -1.5),
+        "update_quartic_moment": lambda: update_quartic_moment(F, m6, cfg, -3.0, -1.5),
+        "update_sextic_moment": lambda: update_sextic_moment(F, m4, cfg),
+        "sphere_radius_sq": lambda: sphere_radius_sq(m4, m6, cfg),
+    }
+    for name, call in calls.items():
+        call()  # warm
         tracemalloc.start()
         try:
-            kernel(F, penalty, ch, cfg)
+            call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < limit, f"{kernel.__name__} peaked at {peak} bytes"
+        assert peak < limit, f"{name} peaked at {peak} bytes"

@@ -21,6 +21,7 @@ from dabf.solver import (
     update_sextic_moment,
 )
 from dabf.baselines import mrt_precoder
+import oracles
 from oracles import solve_trace_constrained_quadratic
 
 BETA1 = 1.14 - 0.08j
@@ -127,10 +128,10 @@ def test_quartic_update_matches_qp_oracle(n, k):
     p_tot = radiated_power(F, BETA1, BETA3)[0]
     cfg = config_for(n, k, p_tot=p_tot)
     cov = F @ F.conj().T
-    m6_seed = moment_targets(F)[1]
+    m6_seed = oracles.moment_matrices(F)[1]
     m6 = 0.5 * (m6_seed + m6_seed.conj().T) * 1.1
     lam1, lam2 = -2.0, -0.7
-    m4, _ = update_quartic_moment(F, m6, cfg, lam1, lam2)
+    m4, _ = oracles.update_quartic_moment(F, m6, cfg, lam1, lam2)
 
     trace_target = (
         cfg.p_tot
@@ -154,27 +155,22 @@ def test_quartic_update_trace_constraint_random_instances():
         c2 = (
             cfg.p_tot
             - abs(cfg.beta1) ** 2 * np.linalg.norm(F) ** 2
-            - 6 * abs(cfg.beta3) ** 2 * float(np.real(np.trace(m6)))
+            - 6 * abs(cfg.beta3) ** 2 * float(np.sum(m6))
         ) / (4 * (cfg.beta1.conjugate() * cfg.beta3).real)
-        assert abs(np.real(np.trace(m4)) - c2) <= 1e-8 * max(abs(c2), 1e-12)
-        np.testing.assert_allclose(m4, m4.conj().T, atol=1e-12)
+        assert abs(np.sum(m4) - c2) <= 1e-8 * max(abs(c2), 1e-12)
+        assert np.isrealobj(m4) and m4.shape == (n,)
 
 
 def test_quartic_update_weak_coupling_limit():
     # As the coupling penalty vanishes, the update tends to the exact moment
-    # plus a uniform diagonal ridge that absorbs the trace constraint.
+    # plus a uniform shift that absorbs the trace constraint.
     n = 4
     cfg = config_for(n, 2)
     F = random_complex((n, 2), 77)
-    m6 = moment_targets(F)[1]
+    sig4, m6 = moment_targets(F)
     lam1 = -3.0
     m4, dual = update_quartic_moment(F, m6, cfg, lam1, -1e-14)
-    sq = np.abs(F @ F.conj().T) ** 2
-    off = ~np.eye(n, dtype=bool)
-    assert np.max(np.abs((m4 - sq)[off])) < 1e-9
-    diag_shift = np.real(np.diag(m4 - sq))
-    expected_shift = dual / (2 * lam1)
-    np.testing.assert_allclose(diag_shift, expected_shift, atol=1e-9)
+    np.testing.assert_allclose(m4 - sig4, dual / (2 * lam1), atol=1e-9)
 
 
 def test_quartic_update_degenerate_pa():
@@ -199,8 +195,8 @@ def test_sextic_update_matches_projection_oracle(n, k):
     F *= np.sqrt(2.0) / np.linalg.norm(F)
     p_tot = radiated_power(F, BETA1, BETA3)[0]
     cfg = config_for(n, k, p_tot=p_tot)
-    m4 = moment_targets(F)[0] * 1.05
-    m6 = update_sextic_moment(F, m4, cfg)
+    m4 = oracles.moment_matrices(F)[0] * 1.05
+    m6 = oracles.update_sextic_moment(F, m4, cfg)
     c3 = (
         cfg.p_tot
         - abs(cfg.beta1) ** 2 * np.linalg.norm(F) ** 2
@@ -214,24 +210,42 @@ def test_sextic_update_matches_projection_oracle(n, k):
     assert abs(np.real(np.trace(m6)) - c3) <= 1e-12 * max(abs(c3), 1e-12)
 
 
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 2), (6, 3), (16, 4)])
+def test_moment_updates_equal_diagonals_of_full_matrix_updates(n, k):
+    # The library keeps the diagonal moments only; each diagonal entry of the
+    # full-matrix updates depends only on diagonal inputs.
+    F = random_complex((n, k), n + 90 + k)
+    F *= np.sqrt(2.0) / np.linalg.norm(F)
+    cfg = config_for(n, k, p_tot=radiated_power(F, BETA1, BETA3)[0])
+    m4_full, m6_full = oracles.moment_matrices(F)
+    m6_full = 1.1 * m6_full
+    m4, dual = update_quartic_moment(F, np.real(np.diag(m6_full)), cfg, -2.0, -0.7)
+    m4_ref, dual_ref = oracles.update_quartic_moment(F, m6_full, cfg, -2.0, -0.7)
+    assert np.max(np.abs(m4 - np.diag(m4_ref))) <= 1e-12
+    assert abs(dual - dual_ref) <= 1e-12 * max(abs(dual_ref), 1.0)
+    m6 = update_sextic_moment(F, 1.05 * np.real(np.diag(m4_full)), cfg)
+    m6_ref = oracles.update_sextic_moment(F, 1.05 * m4_full, cfg)
+    assert np.max(np.abs(m6 - np.diag(m6_ref))) <= 1e-12
+
+
 def test_sextic_update_identity_when_already_on_hyperplane():
     n = 4
     cfg = config_for(n, 2)
     F = random_complex((n, 2), 60)
     m4 = moment_targets(F)[0]
     re_b = (cfg.beta1.conjugate() * cfg.beta3).real
-    # Scale m4 so that trace(m4 .* cov) equals its own budget target exactly.
-    cov = F @ F.conj().T
-    base_trace = float(np.real(np.trace(m4 * cov)))
+    # Scale m4 so that sum(m4 .* sigma^2) equals its own budget target exactly.
+    sig2 = np.sum(np.abs(F) ** 2, axis=1)
+    base_trace = float(np.sum(m4 * sig2))
     a = cfg.p_tot - abs(cfg.beta1) ** 2 * np.linalg.norm(F) ** 2
-    b = 4 * re_b * float(np.real(np.trace(m4)))
+    b = 4 * re_b * float(np.sum(m4))
     denom = 6 * abs(cfg.beta3) ** 2
     # Solve t * base_trace = (a - t*b) / denom for the scaling t.
     t = a / (denom * base_trace + b)
     assert t > 0
     m4_scaled = t * m4
     m6 = update_sextic_moment(F, m4_scaled, cfg)
-    np.testing.assert_allclose(m6, m4_scaled * cov, atol=1e-12)
+    np.testing.assert_allclose(m6, m4_scaled * sig2, atol=1e-12)
 
 
 def test_sextic_update_degenerate_pa():
@@ -320,6 +334,18 @@ def test_solve_records_monotone_without_growth():
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
 
+def test_converged_implies_moment_residuals_within_tolerance():
+    # A stage that stalls on outer_tol with no growth budget left to tighten
+    # the moments has not converged.
+    cfg = convergence_scale_config()
+    ch = draw_channels(cfg, np.random.default_rng(201))
+    opts = SolverOptions(max_growth_rounds=0, moment_residual_tol=1e-12, outer_tol=1e-2)
+    _, diag = optimize_full_digital(ch, cfg, opts)
+    last = diag.records[-1]
+    if diag.converged:
+        assert max(last.moment_residual_m4, last.moment_residual_m6) <= opts.moment_residual_tol
+
+
 def test_solve_objective_invariant_to_initial_phase():
     cfg = config_for(8, 2, p_tot=10.0)
     ch = draw_channels(cfg, np.random.default_rng(202))
@@ -381,7 +407,7 @@ def test_manifold_cg_rejects_exhausted_budget():
     cfg = config_for(4, 2, beta1=1.0 + 0j, beta3=0.1 + 0j, p_tot=1.0)
     ch = draw_channels(cfg, np.random.default_rng(500))
     F = random_complex((4, 2), 501)
-    huge = 100.0 * np.eye(4, dtype=complex)
+    huge = np.full(4, 100.0)
     assert sphere_radius_sq(huge, huge, cfg) < 0
     with pytest.raises(InfeasibleMomentBudget):
         manifold_cg(F, huge, huge, ch, cfg, cfg.solver, -1.0, -1.0)
