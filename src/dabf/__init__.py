@@ -5,7 +5,6 @@ from .config import ConfigError, SolverOptions, SystemConfig, dbm_to_mw, mw_to_d
 from .decomposition import analog_feasibility_check, decompose, match_hybrid_power, refine_digital
 from .distortion import (
     bussgang_gain_diag,
-    distortion_covariance,
     power_match_scale,
     radiated_power,
     scale_to_power,
@@ -22,7 +21,6 @@ from .solver import (
     manifold_cg,
     optimize_full_digital,
     retract,
-    riemannian_gradient,
     sphere_radius_sq,
     tangent_project,
     update_quartic_moment,
@@ -30,6 +28,7 @@ from .solver import (
 )
 from .baselines import mrt_precoder, pa_blind_precoder, rbf_precoder, zf_precoder
 from .experiments import (
+    ExperimentError,
     ExperimentSpec,
     run_beam_pattern,
     run_convergence,
@@ -54,8 +53,8 @@ __all__ = [
     "bussgang_gain_diag",
     "dbm_to_mw",
     "decompose",
+    "ExperimentError",
     "ExperimentSpec",
-    "distortion_covariance",
     "draw_channels",
     "euclidean_gradient",
     "evaluate_metrics",
@@ -81,7 +80,6 @@ __all__ = [
     "run_experiment",
     "run_sweep_nonlinearity",
     "run_sweep_snr",
-    "riemannian_gradient",
     "scale_to_power",
     "sphere_radius_sq",
     "steering_vector",

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .config import ConfigError, SolverOptions, SystemConfig, dbm_to_mw, noise_from_snr
-from .experiments import EXPERIMENT_KINDS, SCHEMES, ExperimentSpec, run_experiment
+from .experiments import EXPERIMENT_KINDS, SCHEMES, ExperimentError, ExperimentSpec, run_experiment
 
 _SUBCOMMANDS = {
     "sweep-nonlin": "sweep_nonlinearity",
@@ -234,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(path)
     return 0
 

@@ -39,7 +39,11 @@ class SolverOptions:
     Fletcher-Reeves/Armijo engine: the sphere-constrained precoder update of
     the full-digital solve and the digital-factor refinement of a hybrid.
     ``armijo_init_step`` is a dimensionless scale: the first trial step of
-    the backtracking search is ``armijo_init_step / ||grad||_F``.
+    the backtracking search is ``armijo_init_step / ||grad||_F``. The search
+    evaluates its ``armijo_max_backtracks`` trial steps a few at a time as
+    one stack, the first trial that passes the Armijo test wins, and the
+    gradient at the accepted point reuses that trial's probe terms; the
+    steps taken are exactly those of a one-by-one search.
     """
 
     max_outer_iters: int = 50

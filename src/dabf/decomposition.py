@@ -21,7 +21,6 @@ import numpy as np
 from . import gradients
 from .config import ConfigError, SystemConfig
 from .distortion import power_match_scale
-from .metrics import weighted_objective
 from .solver import _ascend
 
 
@@ -113,42 +112,32 @@ def refine_digital(F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemCon
 
     Runs the solver's Fletcher-Reeves/Armijo engine at fixed analog phases,
     with ``config.solver`` as its options, the pulled-back gradient
-    ``F_A^H grad`` and, as the retraction, a rescale onto the exact
-    output-power budget of ``config``. Pass the design-model configuration
+    ``F_A^H grad`` and, as the retraction, a rescale of each trial onto the
+    exact output-power budget of ``config``; the trials of a search are
+    evaluated as one stack ``F_A @ X``. Pass the design-model configuration
     (e.g. one with the cubic coefficient zeroed) to refine a transmitter
     that believes in that model. The returned factor never has a lower
     design-model objective than the power-matched input.
     """
+    link = gradients.Link.of(channels, config)
 
-    def fit(X: np.ndarray, step: np.ndarray) -> np.ndarray:
-        moved = X + step
-        return moved * power_match_scale(F_A @ moved, config.p_tot, config.beta1, config.beta3)
+    def fit(X: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        moved = X + steps
+        scales = [power_match_scale(F_A @ x, config.p_tot, config.beta1, config.beta3) for x in moved]
+        return moved * np.array(scales)[:, None, None]
 
-    def gradient(X: np.ndarray) -> np.ndarray:
-        return F_A.conj().T @ gradients.euclidean_gradient(F_A @ X, gradients.NO_PENALTY, channels, config)
+    def objective(Xs: np.ndarray):
+        return gradients.penalized_objective(
+            F_A @ Xs, gradients.NO_PENALTY, channels, config, link=link, with_terms=True
+        )
 
-    objective = lambda X: weighted_objective(F_A @ X, channels, config)
-    return _ascend(fit(F_D, 0.0), objective, gradient, fit, config.solver)[0]
+    def gradient(X: np.ndarray, terms: gradients.Terms) -> np.ndarray:
+        egrad = gradients.euclidean_gradient(F_A @ X, gradients.NO_PENALTY, channels, config, terms=terms)
+        return F_A.conj().T @ egrad
+
+    return _ascend(fit(F_D, np.zeros((1, *F_D.shape)))[0], objective, gradient, fit, config.solver)[0]
 
 
-def match_hybrid_power(
-    F_A: np.ndarray,
-    F_D: np.ndarray,
-    config: SystemConfig,
-    assume_linear: bool = False,
-) -> np.ndarray:
-    """Digital factor rescaled so the hybrid pair meets the power budget.
-
-    With ``assume_linear`` the budget is evaluated as if the amplifiers were
-    ideal (|beta1|^2 ||F_A F_D||_F^2 = p_tot), which is how a transmitter
-    unaware of its nonlinearity would set its gain.
-    """
-    product = F_A @ F_D
-    if assume_linear:
-        norm = np.linalg.norm(product)
-        if norm == 0.0:
-            raise ValueError("cannot power-match an all-zero precoder")
-        scale = np.sqrt(config.p_tot) / (abs(config.beta1) * norm)
-    else:
-        scale = power_match_scale(product, config.p_tot, config.beta1, config.beta3)
-    return scale * F_D
+def match_hybrid_power(F_A: np.ndarray, F_D: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Digital factor rescaled so the hybrid pair meets the power budget of ``config``."""
+    return power_match_scale(F_A @ F_D, config.p_tot, config.beta1, config.beta3) * F_D

@@ -17,12 +17,6 @@ def bussgang_gain_diag(F: np.ndarray, beta1: complex, beta3: complex) -> np.ndar
     return beta1 + 2.0 * beta3 * sig2
 
 
-def distortion_covariance(F: np.ndarray, beta3: complex) -> np.ndarray:
-    """Covariance of the uncorrelated distortion: 2|beta3|^2 * C_x .* |C_x|^2."""
-    cov = F @ F.conj().T
-    return 2.0 * abs(beta3) ** 2 * cov * np.abs(cov) ** 2
-
-
 def radiated_power(F: np.ndarray, beta1: complex, beta3: complex) -> tuple[float, float, float]:
     """Mean output power E||phi(F s)||^2 [mW] with the exact moment traces.
 

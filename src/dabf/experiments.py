@@ -4,7 +4,9 @@ Every runner fans out over seeded channel realizations (optionally across a
 process pool), reduces in realization order, and writes one UTF-8 CSV per
 experiment plus a manifest of the fully resolved parameters. Reruns with the
 same configuration and seed produce byte-identical files regardless of the
-worker count.
+worker count. A design or evaluation that raises inside a realization task
+surfaces as an ``ExperimentError`` naming the seed, realization, scheme and
+grid point.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,11 @@ EXPERIMENT_KINDS = ("sweep_nonlinearity", "sweep_snr", "convergence", "beam_patt
 
 DB_FLOOR = -200.0
 ANGLE_MAX_DEG = 180.0
+GRID_COLUMNS = {"sweep_nonlinearity": "rho", "sweep_snr": "snr_db", "convergence": "snr_db"}
+
+
+class ExperimentError(RuntimeError):
+    """A design or evaluation raised; the message names where, so one command reproduces it."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,18 @@ class ExperimentSpec:
             raise ConfigError("workers must be at least 1")
         if not 0.0 < self.angle_step_deg <= 10.0:
             raise ConfigError("angle_step_deg must lie in (0, 10]")
+
+
+@contextmanager
+def _failure_context(spec: ExperimentSpec, index: int, scheme: str, value: float):
+    """Re-raise an exception of the block as an ``ExperimentError`` naming where it happened."""
+    try:
+        yield
+    except Exception as exc:
+        raise ExperimentError(
+            f"{spec.kind} failed at seed {spec.seed}, realization {index}, scheme {scheme}, "
+            f"{GRID_COLUMNS[spec.kind]} = {value!r}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def realization_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
@@ -181,7 +201,8 @@ def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
             noise = base.p_tot / 10.0 ** (value / 10.0)
             cfg = base.with_updates(noise_user=noise, noise_sense=noise)
         for si, scheme in enumerate(spec.schemes):
-            report = evaluate_metrics(channels, hybrid(scheme, cfg), cfg)
+            with _failure_context(spec, index, scheme, value):
+                report = evaluate_metrics(channels, hybrid(scheme, cfg), cfg)
             out[gi, si, 0] = report.weighted_objective
             out[gi, si, 1] = report.radiated_power
     return out
@@ -261,12 +282,12 @@ def _run_sweep(spec: ExperimentSpec, grid_column: str, out_name: str) -> str:
 
 def run_sweep_nonlinearity(spec: ExperimentSpec) -> str:
     """Ergodic weighted sum rate vs. cubic-to-linear PA coefficient ratio."""
-    return _run_sweep(spec, "rho", "sweep_nonlin")
+    return _run_sweep(spec, GRID_COLUMNS[spec.kind], "sweep_nonlin")
 
 
 def run_sweep_snr(spec: ExperimentSpec) -> str:
     """Ergodic weighted sum rate vs. SNR (noise set to p_tot / SNR)."""
-    return _run_sweep(spec, "snr_db", "sweep_snr")
+    return _run_sweep(spec, GRID_COLUMNS[spec.kind], "sweep_snr")
 
 
 def _convergence_one_realization(args: tuple[ExperimentSpec, int]) -> list[np.ndarray]:
@@ -278,7 +299,8 @@ def _convergence_one_realization(args: tuple[ExperimentSpec, int]) -> list[np.nd
     for snr_db in spec.grid:
         noise = base.p_tot / 10.0 ** (snr_db / 10.0)
         cfg = base.with_updates(noise_user=noise, noise_sense=noise)
-        traces.append(first_mo_trace(channels, cfg))
+        with _failure_context(spec, index, "proposed_known", snr_db):
+            traces.append(first_mo_trace(channels, cfg))
     return traces
 
 

@@ -15,6 +15,12 @@ face-splitting factor T of F (C_x .* |C_x|^2 = T T^H).
 
 ``euclidean_gradient`` returns d(objective)/dF* in the Wirtinger sense, so
 for a real objective the differential is 2*Re<dF, grad>.
+
+``penalized_objective`` also evaluates a (B, n_tx, K) stack of precoders in
+one call, bit for bit equal to B single calls, and can hand back the probe
+terms behind each value (``Terms``); ``euclidean_gradient`` takes those
+terms in place of recomputing them. ``Link`` holds what both need that does
+not depend on F, so an ascent builds it once.
 """
 
 from __future__ import annotations
@@ -25,14 +31,14 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .metrics import _probe_rows, _probe_terms, link_terms, weighted_objective_from_terms
+from .metrics import _probe_rows, _probe_terms, _received_powers, _split_powers, weighted_objective_from_terms
 
 _LOG2E = 1.0 / np.log(2.0)
 
 
 def _row_powers(F: np.ndarray) -> np.ndarray:
-    """Per-antenna input powers sigma^2, the diagonal of F F^H."""
-    return np.einsum("ia,ia->i", F, F.conj()).real
+    """Per-antenna input powers sigma^2, the diagonal of F F^H (per slice of a stack)."""
+    return np.einsum("...ia,...ia->...i", F, F.conj()).real
 
 
 def moment_targets(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,18 +76,107 @@ def moment_penalty(m4: np.ndarray, m6: np.ndarray, penalty1: float, penalty2: fl
     return MomentPenalty(penalty1, penalty2, m4, m6)
 
 
+@dataclass(frozen=True)
+class Link:
+    """What the objective and its gradient need that does not depend on F.
+
+    Probe rows r^H (the k users, then the sensing link: steering vector
+    scaled by the target gain's magnitude), the noise per probe, the mask
+    ``in_rest`` (1 where stream i is interference at probe r), its
+    complement ``useful`` and the objective weights over ln 2 per probe.
+    """
+
+    config: SystemConfig
+    probes: np.ndarray
+    noise: np.ndarray
+    in_rest: np.ndarray
+    useful: np.ndarray
+    coeff: np.ndarray
+
+    @classmethod
+    def of(cls, channels: ChannelRealization, config: SystemConfig) -> Link:
+        k = config.n_users
+        in_rest = np.ones((k + 1, k))
+        np.fill_diagonal(in_rest, 0.0)
+        in_rest[k] = 0.0
+        return cls(
+            config,
+            _probe_rows(channels, config.target_gain),
+            np.append(config.noise_user_array, config.noise_sense),
+            in_rest,
+            1.0 - in_rest,
+            _LOG2E * np.append(np.full(k, config.weight_comm), config.weight_sense),
+        )
+
+
+@dataclass(frozen=True)
+class Terms:
+    """Probe terms of one precoder, or of each slice of a stack of them.
+
+    ``gain`` is the Bussgang gain diagonal, ``W`` the face-splitting factor
+    of |C|^2, ``rx``/``U`` the probed signal and distortion products,
+    ``powers``/``dist`` their powers; ``sig2`` and the moment residuals
+    ``r4``/``r6`` are None without a penalty. ``terms[b]`` is slice b.
+    """
+
+    link: Link
+    gain: np.ndarray
+    W: np.ndarray
+    rx: np.ndarray
+    U: np.ndarray
+    powers: np.ndarray
+    dist: np.ndarray
+    sig2: np.ndarray | None = None
+    r4: np.ndarray | None = None
+    r6: np.ndarray | None = None
+
+    def __getitem__(self, b: int) -> Terms:
+        at = lambda a: None if a is None else a[b]
+        return Terms(
+            self.link, self.gain[b], self.W[b], self.rx[b], self.U[b], self.powers[b], self.dist[b],
+            at(self.sig2), at(self.r4), at(self.r6),
+        )
+
+
+def _terms(F: np.ndarray, penalty: MomentPenalty, link: Link) -> Terms:
+    config = link.config
+    gain, W, _, rx, U = _probe_terms(F, link.probes, config.beta1, config.beta3)
+    powers, dist = _received_powers(rx, U, config.beta3)
+    if penalty.m4 is None:
+        return Terms(link, gain, W, rx, U, powers, dist)
+    sig2 = _row_powers(F)
+    return Terms(link, gain, W, rx, U, powers, dist, sig2, *penalty.residuals(sig2))
+
+
+def _sum_sq(r: np.ndarray) -> np.ndarray:
+    # r @ r per slice, as a matmul of (1, n) by (n, 1): the same dot product
+    # (and so the same bits) as the 1-D ``r @ r``.
+    return (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+
+
 def penalized_objective(
     F: np.ndarray,
     penalty: MomentPenalty,
     channels: ChannelRealization,
     config: SystemConfig,
-) -> float:
-    terms = link_terms(F, channels, config.beta1, config.beta3, config.target_gain)
-    _, _, objective = weighted_objective_from_terms(terms, config)
-    if penalty.m4 is None:
-        return objective
-    r4, r6 = penalty.residuals(_row_powers(F))
-    return objective + penalty.penalty1 * float(r4 @ r4) + penalty.penalty2 * float(r6 @ r6)
+    *,
+    link: Link | None = None,
+    with_terms: bool = False,
+):
+    """Weighted rate objective plus the moment penalties at F.
+
+    F is one precoder (returns a float) or a (B, n_tx, K) stack (returns B
+    values, each equal bit for bit to the call on its slice). ``link`` is a
+    prebuilt ``Link.of(channels, config)``. With ``with_terms`` the result
+    is ``(value(s), Terms)``, for ``euclidean_gradient``.
+    """
+    terms = _terms(F, penalty, link or Link.of(channels, config))
+    objective = weighted_objective_from_terms(_split_powers(terms.powers, terms.dist), config)[2]
+    if penalty.m4 is not None:
+        objective = objective + penalty.penalty1 * _sum_sq(terms.r4) + penalty.penalty2 * _sum_sq(terms.r6)
+    if F.ndim == 2:
+        objective = float(objective)
+    return (objective, terms) if with_terms else objective
 
 
 def euclidean_gradient(
@@ -89,47 +184,47 @@ def euclidean_gradient(
     penalty: MomentPenalty,
     channels: ChannelRealization,
     config: SystemConfig,
+    *,
+    terms: Terms | None = None,
 ) -> np.ndarray:
-    """Conjugate Wirtinger gradient of the penalized objective at F."""
+    """Conjugate Wirtinger gradient of the penalized objective at F.
+
+    ``terms`` are F's probe terms from ``penalized_objective(..., with_terms=True)``;
+    without them they are computed here.
+    """
     n_tx, k = F.shape
     if channels.user_channels.shape != (config.n_users, config.n_tx) or k != config.n_users:
         raise ValueError("precoder/channel dimensions do not match the configuration")
+    if terms is None:
+        terms = _terms(F, penalty, Link.of(channels, config))
+    link, rx, U, powers = terms.link, terms.rx, terms.U, terms.powers
     beta3 = config.beta3
-    # Probe rows r^H: the k users, then the sensing link (steering vector
-    # scaled by the target gain's magnitude).
-    probes = _probe_rows(channels, config.target_gain)
-    gain_diag, W, _, rx, U = _probe_terms(F, probes, config.beta1, beta3)
     d3 = 2.0 * abs(beta3) ** 2
 
     # Probe r contributes c_r * log2(total_r / rest_r): total_r adds the useful
     # power to rest_r, which holds the interference (users only), the
     # distortion and the noise.
-    coeff = _LOG2E * np.append(np.full(k, config.weight_comm), config.weight_sense)
-    in_rest = np.ones((k + 1, k))
-    np.fill_diagonal(in_rest, 0.0)
-    in_rest[k] = 0.0
-    powers = np.abs(rx) ** 2
-    dist = d3 * np.sum(np.abs(U) ** 2, axis=1)
-    rest = np.sum(powers * in_rest, axis=1) + dist + np.append(config.noise_user_array, config.noise_sense)
-    total = rest + np.sum(powers * (1.0 - in_rest), axis=1)
-    inv_total, inv_rest = coeff / total, coeff / rest
+    in_rest = link.in_rest
+    rest = (powers * in_rest).sum(axis=1) + terms.dist + link.noise
+    total = rest + (powers * link.useful).sum(axis=1)
+    inv_total, inv_rest = link.coeff / total, link.coeff / rest
     power_w = inv_total[:, None] - in_rest * inv_rest[:, None]  # d objective / d |r^H B f_i|^2
     dist_w = d3 * (inv_total - inv_rest)  # d objective / d ||T^H r||^2
 
     # sum_ri power_w[r, i] d|r^H B f_i|^2/dF*, through both f_i and the gain B(F).
+    probes = link.probes
     M = probes.T @ (power_w * rx.conj())
-    grad = np.conj(gain_diag[:, None] * M)
-    grad += (4.0 * np.real(beta3 * np.einsum("ia,ia->i", F, M)))[:, None] * F
+    grad = (terms.gain[:, None] * M).conj()
+    grad += (4.0 * (beta3 * np.einsum("ia,ia->i", F, M)).real)[:, None] * F
     # sum_r dist_w[r] d||T^H r||^2/dF*, from G* = conj(sum_r dist_w[r] r r^H T)
     # and T_(abc) = F_a F_b conj(F_c).
     G_conj = probes.T @ (dist_w[:, None] * U.conj())
     FF = (F[:, :, None] * F[:, None, :]).reshape(n_tx, k * k)
     grad += np.einsum("pkc,pk->pc", G_conj.reshape(n_tx, k * k, k), FF)
-    grad += 2.0 * np.conj(np.einsum("pak,pk->pa", G_conj.reshape(n_tx, k, k * k), W))
+    grad += 2.0 * np.einsum("pak,pk->pa", G_conj.reshape(n_tx, k, k * k), terms.W).conj()
 
     if penalty.m4 is not None:
         # Both penalties depend on F only through sigma^2, and d sigma_i^2 / dF*_ia = F_ia.
-        sig2 = _row_powers(F)
-        r4, r6 = penalty.residuals(sig2)
-        grad -= (4.0 * penalty.penalty1 * r4 * sig2 + 2.0 * penalty.penalty2 * r6 * penalty.m4)[:, None] * F
+        row = 4.0 * penalty.penalty1 * terms.r4 * terms.sig2 + 2.0 * penalty.penalty2 * terms.r6 * penalty.m4
+        grad -= row[:, None] * F
     return grad

@@ -26,14 +26,15 @@ class LinkTerms:
     """Signal/interference/distortion powers entering the rate expressions.
 
     ``signal``/``interference``/``distortion`` are per-user arrays; the
-    ``sense_*`` scalars are the sensing-link analogues.
+    ``sense_*`` scalars are the sensing-link analogues. For a stack of
+    precoders every field gains the stack's leading axes.
     """
 
     signal: np.ndarray
     interference: np.ndarray
     distortion: np.ndarray
-    sense_signal: float
-    sense_distortion: float
+    sense_signal: float | np.ndarray
+    sense_distortion: float | np.ndarray
 
 
 def _face_split(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,11 +43,12 @@ def _face_split(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (W, T) with |C|^2 = W W^H and C .* C .* conj(C) = T T^H. Row i of
     W (n_tx, K^2) holds F_ia conj(F_ib); row i of T (n_tx, K^3) holds
     F_ia F_ib conj(F_ic). These are face-splitting products of F, so every
-    distortion quadratic form r^H (C .* |C|^2) r equals ||T^H r||^2.
+    distortion quadratic form r^H (C .* |C|^2) r equals ||T^H r||^2. A
+    (B, n_tx, K) stack of precoders gives stacks of factors.
     """
-    n_tx, k = F.shape
-    W = (F[:, :, None] * F.conj()[:, None, :]).reshape(n_tx, k * k)
-    T = (F[:, :, None] * W[:, None, :]).reshape(n_tx, k**3)
+    *lead, n_tx, k = F.shape
+    W = (F[..., :, None] * F.conj()[..., None, :]).reshape(*lead, n_tx, k * k)
+    T = (F[..., :, None] * W[..., None, :]).reshape(*lead, n_tx, k**3)
     return W, T
 
 
@@ -54,12 +56,18 @@ def _probe_terms(F: np.ndarray, probes: np.ndarray, beta1: complex, beta3: compl
     """Amplified-signal and distortion products of F seen through probe rows r^H.
 
     Returns (gain_diag, W, T, rx, U): rx[r, i] = r^H B f_i with the Bussgang
-    gain B, and U = probes @ T, so r^H C_e r = 2|beta3|^2 ||U[r]||^2.
+    gain B, and U = probes @ T, so r^H C_e r = 2|beta3|^2 ||U[r]||^2. Every
+    result carries the leading stack axes of F, if any.
     """
     W, T = _face_split(F)
     # Columns a*(K+1) of W hold |F_ia|^2, so they sum to the antenna powers.
-    gain_diag = beta1 + 2.0 * beta3 * W[:, :: F.shape[1] + 1].real.sum(axis=1)
-    return gain_diag, W, T, probes @ (gain_diag[:, None] * F), probes @ T
+    gain_diag = beta1 + 2.0 * beta3 * W[..., :: F.shape[-1] + 1].real.sum(axis=-1)
+    return gain_diag, W, T, probes @ (gain_diag[..., None] * F), probes @ T
+
+
+def _received_powers(rx: np.ndarray, U: np.ndarray, beta3: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(|rx|^2, 2|beta3|^2 ||U[r]||^2): per-stream received and per-probe distortion powers."""
+    return np.abs(rx) ** 2, 2.0 * abs(beta3) ** 2 * (np.abs(U) ** 2).sum(axis=-1)
 
 
 def _probe_rows(channels: ChannelRealization, target_gain: complex) -> np.ndarray:
@@ -72,7 +80,17 @@ def probe_powers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-stream received powers |r^H B f_i|^2 (m, K) and distortion powers r^H C_e r (m,)."""
     _, _, _, rx, U = _probe_terms(F, probes, beta1, beta3)
-    return np.abs(rx) ** 2, 2.0 * abs(beta3) ** 2 * np.sum(np.abs(U) ** 2, axis=1)
+    return _received_powers(rx, U, beta3)
+
+
+def _split_powers(powers: np.ndarray, distortion: np.ndarray) -> LinkTerms:
+    """Link terms from the probe powers: user probes first, the sensing probe last."""
+    k = powers.shape[-1]
+    signal = np.diagonal(powers, axis1=-2, axis2=-1).copy()
+    interference = powers[..., :k, :].sum(axis=-1) - signal
+    return LinkTerms(
+        signal, interference, distortion[..., :k], powers[..., k, :].sum(axis=-1), distortion[..., k]
+    )
 
 
 def link_terms(
@@ -83,30 +101,29 @@ def link_terms(
     target_gain: complex,
 ) -> LinkTerms:
     """Evaluate the quadratic forms behind SINDR and sensing SNDR for F."""
-    powers, distortion = probe_powers(F, _probe_rows(channels, target_gain), beta1, beta3)
-    k = F.shape[1]
-    signal = np.diagonal(powers).copy()
-    interference = powers[:k].sum(axis=1) - signal
-    return LinkTerms(signal, interference, distortion[:k], float(powers[k].sum()), float(distortion[k]))
+    return _split_powers(*probe_powers(F, _probe_rows(channels, target_gain), beta1, beta3))
 
 
 def weighted_objective_from_terms(
     terms: LinkTerms, config: SystemConfig
 ) -> tuple[np.ndarray, float, float]:
-    """(per-user SINDR, sensing SNDR, weighted rate objective) from powers."""
+    """(per-user SINDR, sensing SNDR, weighted rate objective) from powers.
+
+    Terms with leading stack axes give one SNDR and one objective per slice.
+    """
     noise = config.noise_user_array
     gammas = terms.signal / (terms.interference + terms.distortion + noise)
     gamma_s = terms.sense_signal / (terms.sense_distortion + config.noise_sense)
     rates = np.log2(1.0 + gammas)
     mi = np.log2(1.0 + gamma_s)
-    objective = config.weight_comm * float(rates.sum()) + config.weight_sense * float(mi)
-    return gammas, float(gamma_s), objective
+    objective = config.weight_comm * rates.sum(axis=-1) + config.weight_sense * mi
+    return gammas, gamma_s, objective
 
 
 def weighted_objective(F: np.ndarray, channels: ChannelRealization, config: SystemConfig) -> float:
     """Weighted sum of user rates and sensing MI (no penalty terms)."""
     terms = link_terms(F, channels, config.beta1, config.beta3, config.target_gain)
-    return weighted_objective_from_terms(terms, config)[2]
+    return float(weighted_objective_from_terms(terms, config)[2])
 
 
 def evaluate_metrics(
@@ -127,8 +144,8 @@ def evaluate_metrics(
     return MetricsReport(
         user_sindr=gammas,
         user_rates=np.log2(1.0 + gammas),
-        sense_sndr=gamma_s,
+        sense_sndr=float(gamma_s),
         sense_mi=float(np.log2(1.0 + gamma_s)),
-        weighted_objective=objective,
+        weighted_objective=float(objective),
         radiated_power=power,
     )

@@ -29,7 +29,15 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import SolverOptions, SystemConfig
 from .distortion import radiated_power, scale_to_power
-from .gradients import _row_powers, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
+from .gradients import (
+    Link,
+    Terms,
+    _row_powers,
+    euclidean_gradient,
+    moment_penalty,
+    moment_targets,
+    penalized_objective,
+)
 from .metrics import weighted_objective
 
 
@@ -81,27 +89,26 @@ class SolveDiagnostics:
 
 def tangent_project(M: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Project M onto the tangent space of the norm sphere at F."""
-    norm_sq = float(np.real(np.vdot(F, F)))
+    norm_sq = float(np.vdot(F, F).real)
     if norm_sq == 0.0:
         raise ValueError("F = 0 is not a valid point on the sphere")
-    radial = float(np.real(np.vdot(F, M))) / norm_sq
+    radial = float(np.vdot(F, M).real) / norm_sq
     return M - radial * F
 
 
-def riemannian_gradient(eucl_grad: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Riemannian gradient on the sphere: tangent projection of the Euclidean one."""
-    return tangent_project(eucl_grad, F)
-
-
 def retract(F: np.ndarray, tangent_step: np.ndarray, c1: float) -> np.ndarray:
-    """Map F + step back onto the sphere of squared Frobenius norm c1."""
+    """Map F + step back onto the sphere of squared Frobenius norm c1.
+
+    ``tangent_step`` may be a (B, n_tx, K) stack of steps; each slice of the
+    result is then retracted with the norm of its own 2-D slice.
+    """
     if c1 <= 0.0:
         raise InfeasibleMomentBudget(f"sphere radius squared must be positive, got {c1}")
     moved = F + tangent_step
-    norm = float(np.linalg.norm(moved))
-    if norm == 0.0:
+    norms = np.array([np.linalg.norm(x) for x in moved.reshape(-1, *F.shape)])
+    if np.any(norms == 0.0):
         raise ValueError("cannot retract the zero matrix")
-    return (np.sqrt(c1) / norm) * moved
+    return (np.sqrt(c1) / norms).reshape(moved.shape[:-2] + (1, 1)) * moved
 
 
 def sphere_radius_sq(m4: np.ndarray, m6: np.ndarray, config: SystemConfig) -> float:
@@ -114,26 +121,58 @@ def sphere_radius_sq(m4: np.ndarray, m6: np.ndarray, config: SystemConfig) -> fl
     ) / abs(config.beta1) ** 2
 
 
+# Trial steps of one Armijo search evaluated per stacked objective call.
+_TRIALS_PER_CALL = 4
+
+
+def _armijo_search(point, direction, step, obj, grad_sq, objective, retract, options):
+    """First trial of step, step*c, step*c^2, ... that passes the Armijo test.
+
+    The ``armijo_max_backtracks`` trial steps are retracted and evaluated
+    ``_TRIALS_PER_CALL`` at a time as one stack, and the first passing trial
+    in sequence order wins, so the outcome is that of trying them one by
+    one. Returns (point, step, objective, terms) of that trial, or None.
+    """
+    for start in range(0, options.armijo_max_backtracks, _TRIALS_PER_CALL):
+        chunk = []
+        for _ in range(min(_TRIALS_PER_CALL, options.armijo_max_backtracks - start)):
+            chunk.append(step)
+            step *= options.armijo_contraction
+        candidates = retract(point, np.array(chunk)[:, None, None] * direction)
+        values, terms = objective(candidates)
+        for i, s in enumerate(chunk):
+            if values[i] >= obj + options.armijo_slope * s * grad_sq:
+                return candidates[i], s, values[i], terms[i]
+    return None
+
+
 def _ascend(
     point: np.ndarray,
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
+    objective: Callable[[np.ndarray], tuple[np.ndarray, Terms]],
+    gradient: Callable[[np.ndarray, Terms], np.ndarray],
     retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
     options: SolverOptions,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fletcher-Reeves conjugate-gradient ascent with Armijo backtracking.
 
-    ``gradient(X)`` is the Euclidean gradient of ``objective`` at ``X``; it and
-    the previous direction are projected onto the tangent space of the
-    sphere through ``X``. ``retract(X, step)`` maps ``X + step`` back onto the
-    feasible set; both the sphere retraction and the power-matching rescale
-    undo radial moves, so the radial projection fits either. Returns the
-    final point and the objective trace (length 1 + number of accepted
-    steps, non-decreasing by the Armijo acceptance rule).
+    ``objective(Xs)`` evaluates a (B, ...) stack of points in one call and
+    returns their values and their ``Terms``; ``gradient(X, terms)`` is the
+    Euclidean gradient of the objective at ``X`` from X's terms, so the
+    accepted trial's terms are reused rather than recomputed. The gradient
+    and the previous direction are projected onto the tangent space of the
+    sphere through ``X``. ``retract(X, steps)`` maps ``X + step`` back onto
+    the feasible set for each step of a stack; both the sphere retraction
+    and the power-matching rescale undo radial moves, so the radial
+    projection fits either. Trial steps are evaluated a few at a time as a
+    stack (``_armijo_search``), and the first one in sequence order that
+    passes wins, so the steps taken are those of a one-by-one search.
+    Returns the final point and the objective trace (length 1 + number of
+    accepted steps, non-decreasing by the Armijo acceptance rule).
     """
     grad_tol = options.mo_grad_tol(*point.shape)
     restart_period = point.size
-    obj = objective(point)
+    values, terms = objective(point[None])
+    obj, terms = values[0], terms[0]
     trace = [obj]
     direction = None
     fr_coeff = 0.0
@@ -143,8 +182,8 @@ def _ascend(
     stall_window = 10
 
     for _ in range(options.max_mo_iters):
-        grad = tangent_project(gradient(point), point)
-        grad_sq = float(np.real(np.vdot(grad, grad)))
+        grad = tangent_project(gradient(point, terms), point)
+        grad_sq = float(np.vdot(grad, grad).real)
         grad_norm = np.sqrt(grad_sq)
         if grad_norm <= grad_tol:
             break
@@ -156,7 +195,7 @@ def _ascend(
         else:
             fr_coeff = grad_sq / prev_grad_sq
             direction = grad + fr_coeff * tangent_project(direction, point)
-            if float(np.real(np.vdot(direction, grad))) <= 0.0:
+            if float(np.vdot(direction, grad).real) <= 0.0:
                 fr_coeff = 0.0
                 direction = grad
                 since_restart = 0
@@ -166,30 +205,19 @@ def _ascend(
         # every iteration; the cap is the configured 1/||grad|| initial step.
         cap = options.armijo_init_step / grad_norm
         step = min(4.0 * prev_step, cap) if prev_step > 0.0 else cap
-        accepted = False
-        while True:
-            for _ in range(options.armijo_max_backtracks):
-                candidate = retract(point, step * direction)
-                cand_obj = objective(candidate)
-                if cand_obj >= obj + options.armijo_slope * step * grad_sq:
-                    accepted = True
-                    break
-                step *= options.armijo_contraction
-            if accepted or fr_coeff == 0.0:
-                break
+        found = _armijo_search(point, direction, step, obj, grad_sq, objective, retract, options)
+        if found is None and fr_coeff != 0.0:
             # The momentum direction can be too misaligned with the gradient
             # for the acceptance rule; retry once along the gradient itself.
             fr_coeff = 0.0
             direction = grad
             since_restart = 0
-            step = cap
-        if not accepted:
+            found = _armijo_search(point, direction, cap, obj, grad_sq, objective, retract, options)
+        if found is None:
             break  # stationary within line-search resolution
 
-        point = candidate
-        prev_step = step
-        trace.append(cand_obj)
-        obj = cand_obj
+        point, prev_step, obj, terms = found
+        trace.append(obj)
         prev_grad_sq = grad_sq
         since_restart += 1
         # Stall stop: relative objective change over a short window of
@@ -214,16 +242,19 @@ def manifold_cg(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fletcher-Reeves conjugate-gradient ascent on the norm sphere.
 
-    Returns the final point and the per-iteration objective trace (length 1 +
-    number of accepted steps, non-decreasing by the Armijo acceptance rule).
+    Each Armijo search retracts its trial steps onto the sphere as a stack
+    and evaluates them in one kernel call (see ``_ascend``). Returns the
+    final point and the per-iteration objective trace (length 1 + number of
+    accepted steps, non-decreasing by the Armijo acceptance rule).
     """
     c1 = sphere_radius_sq(m4, m6, config)
     penalty = moment_penalty(m4, m6, penalty1, penalty2)
+    link = Link.of(channels, config)
     return _ascend(
         retract(F_init, np.zeros_like(F_init), c1),
-        lambda F: penalized_objective(F, penalty, channels, config),
-        lambda F: euclidean_gradient(F, penalty, channels, config),
-        lambda F, step: retract(F, step, c1),
+        lambda Fs: penalized_objective(Fs, penalty, channels, config, link=link, with_terms=True),
+        lambda F, terms: euclidean_gradient(F, penalty, channels, config, terms=terms),
+        lambda F, steps: retract(F, steps, c1),
         options,
     )
 
@@ -399,8 +430,8 @@ def optimize_full_digital(
                 m6 = update_sextic_moment(F, m4, config)
 
             penalty = moment_penalty(m4, m6, lam1, lam2)
-            obj = penalized_objective(F, penalty, channels, config)
-            egrad = euclidean_gradient(F, penalty, channels, config)
+            obj, terms = penalized_objective(F, penalty, channels, config, with_terms=True)
+            egrad = euclidean_gradient(F, penalty, channels, config, terms=terms)
             grad_norm = float(np.linalg.norm(tangent_project(egrad, F)))
             power = radiated_power(F, beta1, beta3)[0]
             r4, r6 = _moment_residuals(F, m4, m6)

@@ -5,8 +5,10 @@ library code: Monte-Carlo estimators for the amplifier statistics, central
 finite differences for gradients, brute-force quadratic assembly plus a
 KKT linear solve for the constrained moment updates, the closed-form moment
 updates over full n_tx x n_tx Hermitian matrices (whose diagonals the
-library's vector updates must equal), and dense n_tx x n_tx forms of the
-link terms, the moment penalties and their gradient.
+library's vector updates must equal), dense n_tx x n_tx forms of the
+link terms, the distortion covariance, the moment penalties and their
+gradient, and the one-trial-at-a-time Armijo search of the conjugate-gradient
+ascent, which the library's stacked search must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from dabf.solver import DegeneratePA
+from dabf.config import SolverOptions
+from dabf.solver import DegeneratePA, tangent_project
 
 
 def mc_amplifier_stats(
@@ -201,6 +204,12 @@ def update_sextic_moment(F, m4, config) -> np.ndarray:
 _LOG2E = 1.0 / np.log(2.0)
 
 
+def distortion_covariance(F: np.ndarray, beta3: complex) -> np.ndarray:
+    """Covariance of the uncorrelated distortion: 2|beta3|^2 * C_x .* |C_x|^2."""
+    cov = F @ F.conj().T
+    return 2.0 * abs(beta3) ** 2 * cov * np.abs(cov) ** 2
+
+
 @dataclass(frozen=True)
 class DistortionModel:
     """Second-order amplifier statistics for a fixed precoder."""
@@ -363,3 +372,88 @@ def euclidean_gradient(F, m4, m6, channels, config, penalty1, penalty2) -> np.nd
     grad += penalty1 * _moment4_penalty_grad(cov, m4, F)
     grad += penalty2 * _moment6_penalty_grad(cov, m4, m6, F)
     return grad
+
+
+def ascend(
+    point: np.ndarray,
+    objective: Callable[[np.ndarray], float],
+    gradient: Callable[[np.ndarray], np.ndarray],
+    retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    options: SolverOptions,
+    events: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fletcher-Reeves/Armijo ascent that tries one trial step per objective call.
+
+    The same rules as ``dabf.solver._ascend`` on single points:
+    ``objective(X)`` is a float, ``gradient(X)`` the Euclidean gradient and
+    ``retract(X, step)`` one retracted point. ``events``, if given, counts
+    ``"deep"`` searches (more than 4 backtracks before acceptance) and
+    ``"retry"`` momentum searches that failed and were redone along the
+    gradient.
+    """
+    events = {} if events is None else events
+    grad_tol = options.mo_grad_tol(*point.shape)
+    restart_period = point.size
+    obj = objective(point)
+    trace = [obj]
+    direction = None
+    fr_coeff = 0.0
+    prev_step = 0.0
+    prev_grad_sq = 0.0
+    since_restart = 0
+    stall_window = 10
+
+    for _ in range(options.max_mo_iters):
+        grad = tangent_project(gradient(point), point)
+        grad_sq = float(np.real(np.vdot(grad, grad)))
+        grad_norm = np.sqrt(grad_sq)
+        if grad_norm <= grad_tol:
+            break
+
+        if direction is None or since_restart >= restart_period:
+            fr_coeff = 0.0
+            direction = grad
+            since_restart = 0
+        else:
+            fr_coeff = grad_sq / prev_grad_sq
+            direction = grad + fr_coeff * tangent_project(direction, point)
+            if float(np.real(np.vdot(direction, grad))) <= 0.0:
+                fr_coeff = 0.0
+                direction = grad
+                since_restart = 0
+
+        cap = options.armijo_init_step / grad_norm
+        step = min(4.0 * prev_step, cap) if prev_step > 0.0 else cap
+        accepted = False
+        while True:
+            for tried in range(options.armijo_max_backtracks):
+                candidate = retract(point, step * direction)
+                cand_obj = objective(candidate)
+                if cand_obj >= obj + options.armijo_slope * step * grad_sq:
+                    accepted = True
+                    if tried > 4:
+                        events["deep"] = events.get("deep", 0) + 1
+                    break
+                step *= options.armijo_contraction
+            if accepted or fr_coeff == 0.0:
+                break
+            events["retry"] = events.get("retry", 0) + 1
+            fr_coeff = 0.0
+            direction = grad
+            since_restart = 0
+            step = cap
+        if not accepted:
+            break
+
+        point = candidate
+        prev_step = step
+        trace.append(cand_obj)
+        obj = cand_obj
+        prev_grad_sq = grad_sq
+        since_restart += 1
+        if len(trace) > stall_window:
+            gained = obj - trace[-1 - stall_window]
+            if gained < options.outer_tol / 10.0 * max(abs(obj), 1e-12):
+                break
+
+    return point, np.asarray(trace)

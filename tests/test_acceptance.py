@@ -13,7 +13,7 @@ import dabf
 from dabf.cli import build_spec
 from dabf.config import SolverOptions, SystemConfig, dbm_to_mw, noise_from_snr
 from dabf.decomposition import analog_from_phases, decompose
-from dabf.distortion import bussgang_gain_diag, distortion_covariance, radiated_power
+from dabf.distortion import bussgang_gain_diag, radiated_power
 from dabf.experiments import (
     ExperimentSpec,
     run_beam_pattern,
@@ -23,7 +23,13 @@ from dabf.experiments import (
 from dabf.gradients import NO_PENALTY, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from dabf.solver import optimize_full_digital, sphere_radius_sq, update_quartic_moment, update_sextic_moment
 import oracles
-from oracles import fd_wirtinger_grad, mc_amplifier_stats, penalty_values, solve_trace_constrained_quadratic
+from oracles import (
+    distortion_covariance,
+    fd_wirtinger_grad,
+    mc_amplifier_stats,
+    penalty_values,
+    solve_trace_constrained_quadratic,
+)
 
 BETA1 = 1.14 - 0.08j
 BETA3 = -0.08 + 0.1j

@@ -145,3 +145,51 @@ def test_cli_missing_config_file(capsys):
     captured = capsys.readouterr()
     assert code != 0
     assert "cannot read" in captured.err
+
+
+def _failing_solver(*args, **kwargs):
+    raise RuntimeError("solver exploded")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_names_failing_realization_scheme_and_grid_point(tmp_path, capsys, monkeypatch, workers):
+    from dabf import experiments
+
+    monkeypatch.setattr(experiments, "optimize_full_digital", _failing_solver)
+    cfg = write(
+        tmp_path,
+        "\n".join(
+            [
+                "experiment: sweep_nonlinearity",
+                "system: {n_tx: 8, n_rf: 4, n_users: 2, n_paths: 2}",
+                "sweep: {grid: [0.0, 0.2], realizations: 2}",
+                "schemes: [mrt, proposed_known]",
+            ]
+        ),
+    )
+    argv = ["sweep-nonlin", "--config", cfg, "--seed", "5", "--workers", str(workers), "--out", str(tmp_path / "r")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "seed 5, realization 0, scheme proposed_known, rho = 0.2" in err
+    assert "RuntimeError: solver exploded" in err
+
+
+def test_cli_names_failing_convergence_run(tmp_path, capsys, monkeypatch):
+    from dabf import experiments
+
+    monkeypatch.setattr(experiments, "first_mo_trace", _failing_solver)
+    cfg = write(
+        tmp_path,
+        "\n".join(
+            [
+                "experiment: convergence",
+                "system: {n_tx: 8, n_rf: 4, n_users: 2, n_paths: 2}",
+                "sweep: {grid: [10.0], realizations: 1}",
+            ]
+        ),
+    )
+    code = main(["convergence", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "seed 2, realization 0, scheme proposed_known, snr_db = 10.0" in err

@@ -134,17 +134,6 @@ def test_match_hybrid_power_true_model():
     assert abs(power - cfg.p_tot) / cfg.p_tot < 1e-6
 
 
-def test_match_hybrid_power_believed_linear():
-    cfg = SystemConfig(n_tx=8, n_rf=4, n_users=2, n_paths=2, p_tot=7.0, noise_user=0.1, noise_sense=0.1)
-    F = random_complex((8, 2), 12)
-    F_A, F_D, _ = decompose(F, 4)
-    F_D = match_hybrid_power(F_A, F_D, cfg, assume_linear=True)
-    believed = abs(cfg.beta1) ** 2 * np.linalg.norm(F_A @ F_D) ** 2
-    assert abs(believed - cfg.p_tot) / cfg.p_tot < 1e-12
-    true_power = radiated_power(F_A @ F_D, cfg.beta1, cfg.beta3)[0]
-    assert abs(true_power - cfg.p_tot) / cfg.p_tot > 1e-4  # mismatch is real
-
-
 def refine_instance(n_tx, n_rf, seed, **kw):
     p = dbm_to_mw(13.0)
     n0 = noise_from_snr(p, 20.0)

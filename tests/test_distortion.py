@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from dabf.distortion import (
     bussgang_gain_diag,
-    distortion_covariance,
     power_match_scale,
     radiated_power,
     scale_to_power,
 )
-from oracles import DistortionModel, mc_amplifier_stats
+from oracles import DistortionModel, distortion_covariance, mc_amplifier_stats
 
 BETA1 = 1.14 - 0.08j
 BETA3 = -0.08 + 0.1j
