@@ -1,8 +1,9 @@
 """Classical precoders plus the nonlinearity-blind variant of the optimizer.
 
-All baselines are matched to the power budget through the exact nonlinear
-output-power formula; they know how much power they radiate, they just do
-not shape the beams around the distortion.
+The classical baselines are matched to the power budget through the exact
+nonlinear output-power formula; they know how much power they radiate, they
+just do not shape the beams around the distortion. The nonlinearity-blind
+variant meets only the budget of its linear model.
 """
 
 from __future__ import annotations

@@ -44,6 +44,10 @@ class SolverOptions:
     one stack, the first trial that passes the Armijo test wins, and the
     gradient at the accepted point reuses that trial's probe terms; the
     steps taken are exactly those of a one-by-one search.
+    ``max_outer_iters`` and ``outer_tol`` also bound the warm start of a
+    full-digital solve with a cubic amplifier term: at most
+    ``max_outer_iters`` exact-budget ascents, stopped once one gains less
+    than ``outer_tol`` relative.
     """
 
     max_outer_iters: int = 50

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import gradients
 from .config import ConfigError, SystemConfig
 from .distortion import power_match_scale
-from .solver import _ascend
+from .solver import _budget_ascent
 
 
 def _block_slices(n_tx: int, n_rf: int) -> list[slice]:
@@ -110,32 +109,16 @@ def analog_feasibility_check(F_A: np.ndarray, n_tx: int, n_rf: int, tol: float =
 def refine_digital(F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemConfig) -> np.ndarray:
     """Ascend the weighted rate objective over the digital factor.
 
-    Runs the solver's Fletcher-Reeves/Armijo engine at fixed analog phases,
-    with ``config.solver`` as its options, the pulled-back gradient
-    ``F_A^H grad`` and, as the retraction, a rescale of each trial onto the
-    exact output-power budget of ``config``; the trials of a search are
-    evaluated as one stack ``F_A @ X``. Pass the design-model configuration
-    (e.g. one with the cubic coefficient zeroed) to refine a transmitter
-    that believes in that model. The returned factor never has a lower
-    design-model objective than the power-matched input.
+    One ``_budget_ascent`` of ``F_A @ F_D`` at fixed analog phases, with
+    ``config.solver`` as its options: the solver's Fletcher-Reeves/Armijo
+    engine with the pulled-back gradient ``F_A^H grad`` and, as the
+    retraction, a rescale of each trial onto the exact output-power budget
+    of ``config``. Pass the design-model configuration (e.g. one with the
+    cubic coefficient zeroed) to refine a transmitter that believes in that
+    model. The returned factor never has a lower design-model objective
+    than the power-matched input.
     """
-    link = gradients.Link.of(channels, config)
-
-    def fit(X: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        moved = X + steps
-        scales = [power_match_scale(F_A @ x, config.p_tot, config.beta1, config.beta3) for x in moved]
-        return moved * np.array(scales)[:, None, None]
-
-    def objective(Xs: np.ndarray):
-        return gradients.penalized_objective(
-            F_A @ Xs, gradients.NO_PENALTY, channels, config, link=link, with_terms=True
-        )
-
-    def gradient(X: np.ndarray, terms: gradients.Terms) -> np.ndarray:
-        egrad = gradients.euclidean_gradient(F_A @ X, gradients.NO_PENALTY, channels, config, terms=terms)
-        return F_A.conj().T @ egrad
-
-    return _ascend(fit(F_D, np.zeros((1, *F_D.shape)))[0], objective, gradient, fit, config.solver)[0]
+    return _budget_ascent(F_A, F_D, channels, config, config.solver)[0]
 
 
 def match_hybrid_power(F_A: np.ndarray, F_D: np.ndarray, config: SystemConfig) -> np.ndarray:

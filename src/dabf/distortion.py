@@ -8,6 +8,8 @@ statistics below are exact closed forms for that model.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -35,58 +37,59 @@ def radiated_power(F: np.ndarray, beta1: complex, beta3: complex) -> tuple[float
     return power, tr_m4, tr_m6
 
 
-def power_match_scale(
-    F: np.ndarray,
-    p_tot: float,
-    beta1: complex,
-    beta3: complex,
-    rel_tol: float = 1e-12,
-) -> float:
-    """Positive scalar c such that the mean output power of c*F equals p_tot.
+# Newton steps polishing the closed-form root (each doubles its correct digits).
+_NEWTON_STEPS = 8
 
-    The power of c*F is A c^2 + B c^4 + C c^6 with coefficients fixed by the
-    per-antenna input powers; a bracketing bisection solves for c. Raises if
-    F is zero or the amplifier output never reaches p_tot.
+
+def _budget_root(a: float, b: float, c: float, p_tot: float) -> float:
+    """The positive root u of c*u^3 + b*u^2 + a*u = p_tot, for a > 0, c >= 0 and b^2 < 3ac.
+
+    Under b^2 < 3ac the cubic is strictly increasing, so the root is its only
+    real one: Cardano's formula in the cancellation-free form u = w - P/(3w)
+    - b/(3c) of the depressed cubic t^3 + P t + Q = 0, then Newton steps to
+    full precision. A linear amplifier (c = 0, so b = 0) gives p_tot / a.
     """
-    sig2 = np.sum(np.abs(F) ** 2, axis=1)
-    total = float(np.sum(sig2))
-    if total == 0.0:
-        raise ValueError("cannot power-match an all-zero precoder")
-    a = abs(beta1) ** 2 * total
-    b = 4.0 * (beta1.conjugate() * beta3).real * float(np.sum(sig2**2))
-    c = 6.0 * abs(beta3) ** 2 * float(np.sum(sig2**3))
-
-    def power_at(scale: float) -> float:
-        u = scale * scale
-        return u * (a + u * (b + u * c))
-
-    hi = 1.0
-    for _ in range(200):
-        if power_at(hi) >= p_tot:
+    u = p_tot / a
+    if c != 0.0:
+        P = (3.0 * a * c - b * b) / (3.0 * c * c)
+        Q = (2.0 * b**3 - 9.0 * a * b * c - 27.0 * c * c * p_tot) / (27.0 * c**3)
+        w = float(np.cbrt(-0.5 * Q - math.copysign(math.sqrt(0.25 * Q * Q + P**3 / 27.0), Q)))
+        cardano = w - P / (3.0 * w) - b / (3.0 * c)
+        if math.isfinite(cardano) and cardano > 0.0:
+            u = cardano
+    for _ in range(_NEWTON_STEPS):
+        step = (u * (a + u * (b + u * c)) - p_tot) / (a + u * (2.0 * b + 3.0 * u * c))
+        u -= step
+        if abs(step) <= 1e-16 * u:
             break
-        hi *= 2.0
-    else:
-        raise ValueError("amplifier output power never reaches the requested budget")
-    lo = 0.0
-    mid = hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        p = power_at(mid)
-        if abs(p - p_tot) <= rel_tol * p_tot:
-            break
-        if p < p_tot:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    return u
 
 
-def scale_to_power(
-    F: np.ndarray,
-    p_tot: float,
-    beta1: complex,
-    beta3: complex,
-    rel_tol: float = 1e-12,
-) -> np.ndarray:
+def power_match_scale(F: np.ndarray, p_tot: float, beta1: complex, beta3: complex):
+    """Positive scalar s such that the mean output power of s*F equals p_tot.
+
+    The power of s*F is a*u + b*u^2 + c*u^3 in u = s^2, with a, b, c fixed by
+    the per-antenna input powers; by Cauchy-Schwarz b^2 <= (8/3) a c < 3ac,
+    so the power is strictly increasing in u and ``_budget_root`` gives its
+    unique root. F is one precoder (returns a float) or a (B, n_tx, K) stack
+    (returns B scales, each equal bit for bit to the call on its slice).
+    Raises if F (or a slice) is zero.
+    """
+    x = np.ascontiguousarray(F, dtype=complex).view(float)  # (re, im) pairs: |F_ia|^2 summed along the rows
+    sig2 = (x * x).sum(axis=-1)
+    sig4 = sig2 * sig2
+    sums = [np.reshape(s.sum(axis=-1), -1).tolist() for s in (sig2, sig4, sig4 * sig2)]
+    coef_a = abs(beta1) ** 2
+    coef_b = 4.0 * (beta1.conjugate() * beta3).real
+    coef_c = 6.0 * abs(beta3) ** 2
+    roots = []
+    for total, tr4, tr6 in zip(*sums):
+        if total == 0.0:
+            raise ValueError("cannot power-match an all-zero precoder")
+        roots.append(math.sqrt(_budget_root(coef_a * total, coef_b * tr4, coef_c * tr6, p_tot)))
+    return roots[0] if F.ndim == 2 else np.array(roots)
+
+
+def scale_to_power(F: np.ndarray, p_tot: float, beta1: complex, beta3: complex) -> np.ndarray:
     """F rescaled so its mean amplifier output power equals p_tot."""
-    return power_match_scale(F, p_tot, beta1, beta3, rel_tol) * F
+    return power_match_scale(F, p_tot, beta1, beta3) * F

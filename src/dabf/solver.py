@@ -9,7 +9,10 @@ One outer round alternates three exact subproblem solves:
 3. Hyperplane projection update of the sextic moment.
 
 Each step never decreases the penalized objective, and the triple
-(precoder, m4, m6) keeps the expanded power-budget equality exact.
+(precoder, m4, m6) keeps the expanded power-budget equality exact. With a
+cubic amplifier term the alternation starts from an ascent of the weighted
+objective on the exact power budget (``_budget_start``), which runs the
+engine of the hybrid refinement (``_budget_ascent``) on the precoder itself.
 
 The budget reads the moments only through their traces, so they are kept as
 their diagonals (real length-n_tx vectors). This is a restriction, not a
@@ -26,10 +29,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import gradients
 from .channel import ChannelRealization
 from .config import SolverOptions, SystemConfig
-from .distortion import radiated_power, scale_to_power
+from .distortion import power_match_scale, radiated_power, scale_to_power
 from .gradients import (
+    NO_PENALTY,
     Link,
     Terms,
     _row_powers,
@@ -87,9 +92,13 @@ class SolveDiagnostics:
     final_power_residual: float = 0.0
 
 
-def tangent_project(M: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Project M onto the tangent space of the norm sphere at F."""
-    norm_sq = float(np.vdot(F, F).real)
+def tangent_project(M: np.ndarray, F: np.ndarray, norm_sq: float | None = None) -> np.ndarray:
+    """Project M onto the tangent space of the norm sphere at F.
+
+    ``norm_sq`` is ``||F||_F^2`` when the caller already has it.
+    """
+    if norm_sq is None:
+        norm_sq = float(np.vdot(F, F).real)
     if norm_sq == 0.0:
         raise ValueError("F = 0 is not a valid point on the sphere")
     radial = float(np.vdot(F, M).real) / norm_sq
@@ -182,7 +191,8 @@ def _ascend(
     stall_window = 10
 
     for _ in range(options.max_mo_iters):
-        grad = tangent_project(gradient(point, terms), point)
+        point_sq = float(np.vdot(point, point).real)
+        grad = tangent_project(gradient(point, terms), point, point_sq)
         grad_sq = float(np.vdot(grad, grad).real)
         grad_norm = np.sqrt(grad_sq)
         if grad_norm <= grad_tol:
@@ -194,7 +204,7 @@ def _ascend(
             since_restart = 0
         else:
             fr_coeff = grad_sq / prev_grad_sq
-            direction = grad + fr_coeff * tangent_project(direction, point)
+            direction = grad + fr_coeff * tangent_project(direction, point, point_sq)
             if float(np.vdot(direction, grad).real) <= 0.0:
                 fr_coeff = 0.0
                 direction = grad
@@ -257,6 +267,39 @@ def manifold_cg(
         lambda F, steps: retract(F, steps, c1),
         options,
     )
+
+
+def _budget_ascent(
+    F_A: np.ndarray | None,
+    X: np.ndarray,
+    channels: ChannelRealization,
+    config: SystemConfig,
+    options: SolverOptions,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascent of the weighted rate objective of ``F_A @ X`` over X on the exact power budget.
+
+    ``F_A = None`` means the precoder is X itself. The retraction rescales
+    each trial onto the output-power budget of ``config`` (the whole stack
+    of a search in one ``power_match_scale`` call), and the gradient is the
+    pulled-back ``F_A^H grad``. Returns the final X and the objective trace
+    (see ``_ascend``); the first entry is the objective of power-matched X.
+    """
+    lift = (lambda Xs: Xs) if F_A is None else (lambda Xs: F_A @ Xs)
+    link = Link.of(channels, config)
+
+    def fit(X: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        moved = X + steps
+        return moved * power_match_scale(lift(moved), config.p_tot, config.beta1, config.beta3)[:, None, None]
+
+    def objective(Xs: np.ndarray):
+        return penalized_objective(lift(Xs), NO_PENALTY, channels, config, link=link, with_terms=True)
+
+    def gradient(X: np.ndarray, terms: Terms) -> np.ndarray:
+        # Looked up at call time, so a wrapped ``gradients.euclidean_gradient`` sees every call.
+        egrad = gradients.euclidean_gradient(lift(X), NO_PENALTY, channels, config, terms=terms)
+        return egrad if F_A is None else F_A.conj().T @ egrad
+
+    return _ascend(fit(X, np.zeros((1, *X.shape)))[0], objective, gradient, fit, options)
 
 
 def update_quartic_moment(
@@ -343,18 +386,36 @@ def _initial_point(
     return F, m4, m6, lam1, lam2
 
 
+def _budget_start(channels: ChannelRealization, config: SystemConfig, options: SolverOptions) -> np.ndarray:
+    """Precoder from ascending the weighted objective on the exact power budget.
+
+    Starts at the power-matched matched-filter columns and repeats one
+    ``_budget_ascent`` run (each restarts the conjugate directions) until a
+    run gains less than ``outer_tol`` relative, for at most
+    ``max_outer_iters`` runs. The point is on the budget {F : P(F) = p_tot}.
+    """
+    F = _mrt_direction(channels)
+    for _ in range(options.max_outer_iters):
+        F, trace = _budget_ascent(None, F, channels, config, options)
+        if trace[-1] - trace[0] < options.outer_tol * max(abs(trace[-1]), 1e-12):
+            break
+    return F
+
+
 def first_mo_trace(
     channels: ChannelRealization,
     config: SystemConfig,
     options: SolverOptions | None = None,
 ) -> np.ndarray:
-    """Objective trace of the first conjugate-gradient run of the alternation.
+    """Objective trace of a first conjugate-gradient run of the alternation from the matched filter.
 
-    Starts exactly as ``optimize_full_digital`` does (power-matched
-    matched-filter columns, moments at their exact values) and records the
-    penalized objective per accepted inner step. At this starting point the
-    penalty terms are zero, so the first entry equals the weighted rate
-    objective of the initializer.
+    Starts at power-matched matched-filter columns with the moments at
+    their exact values (the start ``optimize_full_digital`` takes with a
+    linear amplifier; with a cubic term it first ascends on the exact
+    budget, see ``_budget_start``) and records the penalized objective per
+    accepted inner step. At this starting point the penalty terms are zero,
+    so the first entry equals the weighted rate objective of the
+    initializer.
     """
     options = options or config.solver
     F, m4, m6, lam1, lam2 = _initial_point(channels, config)
@@ -370,8 +431,12 @@ def optimize_full_digital(
 ) -> tuple[PrecoderState, SolveDiagnostics]:
     """Solve the penalized design problem by alternating exact subproblem updates.
 
-    Starts from power-matched matched-filter columns (or ``f_init`` rescaled
-    to the power budget) with the moments at their exact values. If the
+    With a cubic amplifier term and no ``f_init``, the alternation starts
+    from the ascent of the weighted objective on the exact power budget
+    (``_budget_start``, itself started at power-matched matched-filter
+    columns); with a linear amplifier it starts from the power-matched
+    matched filter, and a given ``f_init`` is rescaled to the power budget
+    and used as is. The moments start at their exact values. If the
     moment residuals exceed tolerance at convergence, the penalty magnitudes
     grow and the alternation continues. ``converged`` is true only when the
     last stage stalled below ``outer_tol`` with the moment residuals within
@@ -383,6 +448,8 @@ def optimize_full_digital(
     re_b = (beta1.conjugate() * beta3).real
     hold_m4 = re_b == 0.0
     hold_m6 = beta3 == 0
+    if f_init is None and not hold_m6:
+        f_init = _budget_start(channels, config, options)
     F, m4, m6, lam1, lam2 = _initial_point(channels, config, f_init)
 
     diag = SolveDiagnostics()
@@ -470,7 +537,7 @@ def optimize_full_digital(
     # Feasibility restoration: the penalty equilibrium leaves a small bias in
     # the true output power, so return a precoder rescaled onto the exact
     # budget with the moments at their exact values.
-    F = scale_to_power(F, config.p_tot, beta1, beta3, rel_tol=1e-14)
+    F = scale_to_power(F, config.p_tot, beta1, beta3)
     m4, m6 = moment_targets(F)
     diag.final_power_residual = (
         abs(radiated_power(F, beta1, beta3)[0] - config.p_tot) / config.p_tot

@@ -7,8 +7,9 @@ KKT linear solve for the constrained moment updates, the closed-form moment
 updates over full n_tx x n_tx Hermitian matrices (whose diagonals the
 library's vector updates must equal), dense n_tx x n_tx forms of the
 link terms, the distortion covariance, the moment penalties and their
-gradient, and the one-trial-at-a-time Armijo search of the conjugate-gradient
-ascent, which the library's stacked search must reproduce exactly.
+gradient, a bisection for the power-matching scale, and the
+one-trial-at-a-time Armijo search of the conjugate-gradient ascent, which
+the library's stacked search must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -208,6 +209,39 @@ def distortion_covariance(F: np.ndarray, beta3: complex) -> np.ndarray:
     """Covariance of the uncorrelated distortion: 2|beta3|^2 * C_x .* |C_x|^2."""
     cov = F @ F.conj().T
     return 2.0 * abs(beta3) ** 2 * cov * np.abs(cov) ** 2
+
+
+def power_match_scale(F: np.ndarray, p_tot: float, beta1: complex, beta3: complex) -> float:
+    """Scale s with output power p_tot for s*F, by bisection to float resolution.
+
+    The power of s*F is expanded from the explicit diagonal of C_x = F F^H;
+    the bracket doubles until it holds the budget and is then halved until
+    its midpoint no longer moves.
+    """
+    sig2 = np.real(np.diag(F @ F.conj().T))
+    if not np.any(sig2 > 0.0):
+        raise ValueError("cannot power-match an all-zero precoder")
+
+    def power_at(scale: float) -> float:
+        s2 = scale * scale * sig2
+        return float(
+            abs(beta1) ** 2 * np.sum(s2)
+            + 4.0 * np.real(np.conj(beta1) * beta3) * np.sum(s2**2)
+            + 6.0 * abs(beta3) ** 2 * np.sum(s2**3)
+        )
+
+    hi = 1.0
+    while power_at(hi) < p_tot:
+        hi *= 2.0
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if power_at(mid) < p_tot:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)

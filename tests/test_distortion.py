@@ -9,6 +9,7 @@ from dabf.distortion import (
     radiated_power,
     scale_to_power,
 )
+import oracles
 from oracles import DistortionModel, distortion_covariance, mc_amplifier_stats
 
 BETA1 = 1.14 - 0.08j
@@ -148,6 +149,41 @@ def test_scale_to_power_linear_closed_form():
 def test_scale_to_power_rejects_zero():
     with pytest.raises(ValueError):
         scale_to_power(np.zeros((4, 2), dtype=complex), 1.0, BETA1, BETA3)
+    stack = np.stack([random_precoder(4, 2, 1), np.zeros((4, 2), dtype=complex)])
+    with pytest.raises(ValueError):
+        power_match_scale(stack, 1.0, BETA1, BETA3)
+
+
+# (beta1, beta3) with Re(beta1* beta3) < 0 (compressive), > 0 (expansive),
+# = 0 with a cubic term, a weak cubic term, and a linear amplifier.
+PA_MODELS = [
+    (BETA1, BETA3),
+    (1.0 + 0.5j, 0.04 + 0.03j),
+    (1.0 + 0.0j, 0.0 + 0.2j),
+    (BETA1, 1e-6 * BETA3),
+    (BETA1, 0j),
+]
+
+
+@pytest.mark.parametrize("beta1,beta3", PA_MODELS)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1, 4, 16, 64]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_power_match_scale_closed_form(beta1, beta3, seed, n_tx, log_p):
+    rng = np.random.default_rng(seed)
+    p_tot = 10.0**log_p
+    stack = (rng.standard_normal((3, n_tx, 2)) + 1j * rng.standard_normal((3, n_tx, 2))) * rng.uniform(0.01, 10.0)
+    scales = power_match_scale(stack, p_tot, beta1, beta3)
+    assert scales.shape == (3,)
+    for F, scale in zip(stack, scales):
+        assert power_match_scale(F, p_tot, beta1, beta3) == scale  # bit for bit
+        power = radiated_power(scale * F, beta1, beta3)[0]
+        assert abs(power - p_tot) <= 1e-13 * p_tot
+        reference = oracles.power_match_scale(F, p_tot, beta1, beta3)
+        assert abs(scale - reference) <= 1e-12 * reference
 
 
 def test_model_bundles_consistent_pieces():

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from dabf.channel import draw_channels
 from dabf.config import SolverOptions, SystemConfig
-from dabf.distortion import radiated_power
+from dabf.distortion import radiated_power, scale_to_power
 from dabf.gradients import moment_targets
 from dabf.metrics import weighted_objective
 from dabf.solver import (
     DegeneratePA,
     InfeasibleMomentBudget,
+    _budget_start,
+    _mrt_direction,
+    first_mo_trace,
     manifold_cg,
     optimize_full_digital,
     retract,
@@ -432,3 +435,51 @@ def test_solve_rescues_after_budget_exhaustion(monkeypatch):
     state, diag = optimize_full_digital(ch, cfg)
     assert diag.rescues == 1
     assert diag.final_power_residual < 1e-10
+
+
+# ------------------------------------------------------------------ warm start
+
+
+def power_matched_mrt(ch, cfg):
+    return scale_to_power(_mrt_direction(ch), cfg.p_tot, cfg.beta1, cfg.beta3)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_budget_start_is_feasible_and_beats_matched_filter(seed):
+    cfg = convergence_scale_config()
+    ch = draw_channels(cfg, np.random.default_rng(600 + seed))
+    F = _budget_start(ch, cfg, cfg.solver)
+    power = radiated_power(F, cfg.beta1, cfg.beta3)[0]
+    assert abs(power - cfg.p_tot) <= 1e-12 * cfg.p_tot
+    assert weighted_objective(F, ch, cfg) >= weighted_objective(power_matched_mrt(ch, cfg), ch, cfg)
+
+
+def test_solve_calls_manifold_cg_once_per_round_or_rescue(monkeypatch):
+    # The warm start runs its own ascent; every manifold_cg call is an outer
+    # round or a rescue of the alternation.
+    import dabf.solver as solver_mod
+
+    cfg = convergence_scale_config()
+    ch = draw_channels(cfg, np.random.default_rng(610))
+    real_cg = solver_mod.manifold_cg
+    calls = {"n": 0}
+
+    def counted_cg(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise InfeasibleMomentBudget("injected")
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "manifold_cg", counted_cg)
+    _, diag = optimize_full_digital(ch, cfg)
+    assert diag.rescues == 1
+    assert calls["n"] == len(diag.records) + diag.rescues
+
+
+def test_first_mo_trace_starts_at_power_matched_matched_filter():
+    cfg = convergence_scale_config()
+    ch = draw_channels(cfg, np.random.default_rng(620))
+    trace = first_mo_trace(ch, cfg)
+    # Equal up to the rounding of the retraction onto the moments' sphere.
+    start = weighted_objective(power_matched_mrt(ch, cfg), ch, cfg)
+    assert abs(trace[0] - start) <= 1e-12 * start
