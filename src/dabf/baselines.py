@@ -50,9 +50,11 @@ def pa_blind_precoder(
 ) -> tuple[PrecoderState, SolveDiagnostics]:
     """Run the optimizer as if the amplifiers were ideal (cubic term zero).
 
-    The returned precoder satisfies |beta1|^2 ||F||_F^2 = p_tot, i.e. the
-    power budget the designer believes it meets. Its true radiated power
-    under the actual amplifier model is up to the caller to evaluate.
+    With the cubic term zero the solve is the exact-budget ascent alone,
+    with no alternation (see ``optimize_full_digital``). The returned
+    precoder satisfies |beta1|^2 ||F||_F^2 = p_tot, i.e. the power budget
+    the designer believes it meets. Its true radiated power under the
+    actual amplifier model is up to the caller to evaluate.
     """
     linear_config = config.with_updates(beta3=0j)
     return optimize_full_digital(channels, linear_config, options)

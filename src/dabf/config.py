@@ -44,10 +44,13 @@ class SolverOptions:
     one stack, the first trial that passes the Armijo test wins, and the
     gradient at the accepted point reuses that trial's probe terms; the
     steps taken are exactly those of a one-by-one search.
-    ``max_outer_iters`` and ``outer_tol`` also bound the warm start of a
-    full-digital solve with a cubic amplifier term: at most
-    ``max_outer_iters`` exact-budget ascents, stopped once one gains less
-    than ``outer_tol`` relative.
+    ``max_outer_iters`` and ``outer_tol`` also bound the exact-budget ascent
+    every full-digital solve starts with: at most ``max_outer_iters``
+    ascents, stopped once one gains less than ``outer_tol`` relative. With
+    a linear amplifier that ascent is the whole solve, and a solve that
+    spends the ascents first reports ``converged = False``. The other round,
+    penalty and rescue options govern only the alternation of a solve with
+    a cubic term.
     """
 
     max_outer_iters: int = 50
@@ -111,7 +114,6 @@ class SystemConfig:
     target_gain: complex = 1.0 + 0.0j
     penalty1: float = -10.0
     penalty2: float = -10.0
-    rng_seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self) -> None:
@@ -151,10 +153,6 @@ class SystemConfig:
     @property
     def noise_user_array(self) -> np.ndarray:
         return np.asarray(self.noise_user, dtype=float)
-
-    @property
-    def subarray_size(self) -> int:
-        return self.n_tx // self.n_rf
 
     def with_updates(self, **changes) -> "SystemConfig":
         """Copy with fields replaced (re-runs validation)."""

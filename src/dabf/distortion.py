@@ -4,6 +4,13 @@ The amplifier acts per antenna as phi(x) = beta1*x + beta3*x*|x|^2. For a
 Gaussian input vector x = F s with covariance C_x = F F^H, the output splits
 into B x + e with B diagonal and e uncorrelated with x. All second-order
 statistics below are exact closed forms for that model.
+
+The mean output power is the budget polynomial
+
+    P(F) = a * sum_i sigma_i^2 + b * sum_i sigma_i^4 + c * sum_i sigma_i^6
+
+in the per-antenna input powers sigma_i^2 = [F F^H]_ii, with the
+coefficients of ``budget_coefficients``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,11 @@ def bussgang_gain_diag(F: np.ndarray, beta1: complex, beta3: complex) -> np.ndar
     return beta1 + 2.0 * beta3 * sig2
 
 
+def budget_coefficients(beta1: complex, beta3: complex) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) of the budget polynomial: |beta1|^2, 4 Re(beta1* beta3) and 6 |beta3|^2."""
+    return abs(beta1) ** 2, 4.0 * (beta1.conjugate() * beta3).real, 6.0 * abs(beta3) ** 2
+
+
 def radiated_power(F: np.ndarray, beta1: complex, beta3: complex) -> tuple[float, float, float]:
     """Mean output power E||phi(F s)||^2 [mW] with the exact moment traces.
 
@@ -29,12 +41,8 @@ def radiated_power(F: np.ndarray, beta1: complex, beta3: complex) -> tuple[float
     sig2 = np.sum(np.abs(F) ** 2, axis=1)
     tr_m4 = float(np.sum(sig2**2))
     tr_m6 = float(np.sum(sig2**3))
-    power = (
-        abs(beta1) ** 2 * float(np.sum(sig2))
-        + 4.0 * (beta1.conjugate() * beta3).real * tr_m4
-        + 6.0 * abs(beta3) ** 2 * tr_m6
-    )
-    return power, tr_m4, tr_m6
+    a, b, c = budget_coefficients(beta1, beta3)
+    return a * float(np.sum(sig2)) + b * tr_m4 + c * tr_m6, tr_m4, tr_m6
 
 
 # Newton steps polishing the closed-form root (each doubles its correct digits).
@@ -79,9 +87,7 @@ def power_match_scale(F: np.ndarray, p_tot: float, beta1: complex, beta3: comple
     sig2 = (x * x).sum(axis=-1)
     sig4 = sig2 * sig2
     sums = [np.reshape(s.sum(axis=-1), -1).tolist() for s in (sig2, sig4, sig4 * sig2)]
-    coef_a = abs(beta1) ** 2
-    coef_b = 4.0 * (beta1.conjugate() * beta3).real
-    coef_c = 6.0 * abs(beta3) ** 2
+    coef_a, coef_b, coef_c = budget_coefficients(beta1, beta3)
     roots = []
     for total, tr4, tr6 in zip(*sums):
         if total == 0.0:

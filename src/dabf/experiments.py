@@ -99,27 +99,6 @@ def scaled_cubic_coefficient(beta1: complex, beta3: complex, rho: float) -> comp
     return rho * abs(beta1) * (beta3 / abs(beta3))
 
 
-def _fit_digital(
-    F_A: np.ndarray,
-    F_D: np.ndarray,
-    cfg: SystemConfig,
-    channels: ChannelRealization | None = None,
-) -> np.ndarray:
-    """Hybrid product after fitting the digital factor to the power budget of ``cfg``.
-
-    When ``channels`` is given (the optimizer-driven schemes), the digital
-    factor is additionally refined with ``cfg`` as the scheme's own design
-    model: the true amplifier for the distortion-aware design, the linear
-    version of the grid config for the PA-blind design. Classical baselines
-    skip refinement; they commit to their textbook directions.
-    """
-    if channels is not None:
-        F_D = refine_digital(F_A, F_D, channels, cfg)
-    else:
-        F_D = match_hybrid_power(F_A, F_D, cfg)
-    return F_A @ F_D
-
-
 def _known_pa_hybrid(
     channels: ChannelRealization,
     cfg: SystemConfig,
@@ -137,7 +116,7 @@ def _known_pa_hybrid(
     digital) factors of the linear design.
     """
     factors = (decompose(F_known, cfg.n_rf)[:2], blind_factors)
-    candidates = [_fit_digital(F_A, F_D, cfg, channels) for F_A, F_D in factors]
+    candidates = [F_A @ refine_digital(F_A, F_D, channels, cfg) for F_A, F_D in factors]
     return max(candidates, key=lambda H: evaluate_metrics(channels, H, cfg).weighted_objective)
 
 
@@ -152,6 +131,14 @@ def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: 
     version (``beta3 = 0``), so one instance serves a whole nonlinearity
     grid. With a linear amplifier the distortion-aware design is the linear
     one, so ``proposed_known`` then reports the ``proposed_unknown`` hybrid.
+
+    The digital factor of a hybrid is fitted to the power budget of its
+    design model. Classical baselines are only rescaled to the budget of the
+    grid config (``match_hybrid_power``); they commit to their textbook
+    directions. The optimizer-driven schemes refine the digital factor
+    (``refine_digital``) with their own design model: the true amplifier for
+    the distortion-aware design, the linear version of the grid config for
+    the PA-blind design.
     """
     memo: dict = {}
     classical = {
@@ -168,7 +155,7 @@ def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: 
     def hybrid(scheme: str, cfg: SystemConfig) -> np.ndarray:
         if scheme in classical:
             F_A, F_D, _ = once(scheme, lambda: decompose(classical[scheme](), base.n_rf))
-            return _fit_digital(F_A, F_D, cfg)
+            return F_A @ match_hybrid_power(F_A, F_D, cfg)
         linear = cfg.with_updates(beta3=0j)
         blind = once(
             ("blind", linear),
@@ -177,7 +164,7 @@ def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: 
         if scheme == "proposed_known" and cfg.beta3 != 0:
             full = optimize_full_digital(channels, cfg)[0].full_digital
             return _known_pa_hybrid(channels, cfg, full, blind)
-        return once(("unknown", linear), lambda: _fit_digital(*blind, linear, channels))
+        return once(("unknown", linear), lambda: blind[0] @ refine_digital(*blind, channels, linear))
 
     return hybrid
 

@@ -9,10 +9,13 @@ One outer round alternates three exact subproblem solves:
 3. Hyperplane projection update of the sextic moment.
 
 Each step never decreases the penalized objective, and the triple
-(precoder, m4, m6) keeps the expanded power-budget equality exact. With a
-cubic amplifier term the alternation starts from an ascent of the weighted
-objective on the exact power budget (``_budget_start``), which runs the
-engine of the hybrid refinement (``_budget_ascent``) on the precoder itself.
+(precoder, m4, m6) keeps the expanded power-budget equality exact.
+
+Every solve starts with an ascent of the weighted objective on the exact
+power budget (``_budget_start``), which runs the engine of the hybrid
+refinement (``_budget_ascent``) on the precoder itself. With a linear
+amplifier the budget is the sphere |beta1|^2 ||F||_F^2 = p_tot and that
+ascent is the whole solve; the alternation runs only with a cubic term.
 
 The budget reads the moments only through their traces, so they are kept as
 their diagonals (real length-n_tx vectors). This is a restriction, not a
@@ -32,7 +35,7 @@ import numpy as np
 from . import gradients
 from .channel import ChannelRealization
 from .config import SolverOptions, SystemConfig
-from .distortion import power_match_scale, radiated_power, scale_to_power
+from .distortion import budget_coefficients, power_match_scale, radiated_power, scale_to_power
 from .gradients import (
     NO_PENALTY,
     Link,
@@ -43,7 +46,6 @@ from .gradients import (
     moment_targets,
     penalized_objective,
 )
-from .metrics import weighted_objective
 
 
 class DegeneratePA(RuntimeError):
@@ -56,7 +58,7 @@ class InfeasibleMomentBudget(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecoderState:
-    """Full-digital solution with optional hybrid factors.
+    """Full-digital solution and its moments.
 
     ``moment4`` and ``moment6`` are the auxiliary diagonal moments, real
     length-n_tx vectors (sigma^4 and sigma^6 of the returned precoder).
@@ -65,17 +67,11 @@ class PrecoderState:
     full_digital: np.ndarray
     moment4: np.ndarray
     moment6: np.ndarray
-    analog: np.ndarray | None = None
-    digital: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class OuterRecord:
-    iteration: int
     penalized_objective: float
-    isac_objective: float
-    grad_norm: float
-    power_residual: float
     moment_residual_m4: float
     moment_residual_m6: float
 
@@ -86,8 +82,6 @@ class SolveDiagnostics:
     inner_traces: list[np.ndarray] = field(default_factory=list)
     rescues: int = 0
     growth_rounds: int = 0
-    penalty1_final: float = 0.0
-    penalty2_final: float = 0.0
     converged: bool = False
     final_power_residual: float = 0.0
 
@@ -122,12 +116,8 @@ def retract(F: np.ndarray, tangent_step: np.ndarray, c1: float) -> np.ndarray:
 
 def sphere_radius_sq(m4: np.ndarray, m6: np.ndarray, config: SystemConfig) -> float:
     """Squared precoder norm left by the power budget at the current moments."""
-    re_b = (config.beta1.conjugate() * config.beta3).real
-    return (
-        config.p_tot
-        - 4.0 * re_b * float(np.sum(m4))
-        - 6.0 * abs(config.beta3) ** 2 * float(np.sum(m6))
-    ) / abs(config.beta1) ** 2
+    a, b, c = budget_coefficients(config.beta1, config.beta3)
+    return (config.p_tot - b * float(np.sum(m4)) - c * float(np.sum(m6))) / a
 
 
 # Trial steps of one Armijo search evaluated per stacked objective call.
@@ -315,15 +305,11 @@ def update_quartic_moment(
     every entry so the sum matches the power-budget residual exactly.
     Returns (m4, dual).
     """
-    re_b = (config.beta1.conjugate() * config.beta3).real
-    if re_b == 0.0:
+    a, b, c = budget_coefficients(config.beta1, config.beta3)
+    if b == 0.0:
         raise DegeneratePA("quartic-moment trace target undefined for Re(beta1* beta3) = 0")
     norm_sq = float(np.real(np.vdot(F, F)))
-    trace_target = (
-        config.p_tot
-        - abs(config.beta1) ** 2 * norm_sq
-        - 6.0 * abs(config.beta3) ** 2 * float(np.sum(m6))
-    ) / (4.0 * re_b)
+    trace_target = (config.p_tot - a * norm_sq - c * float(np.sum(m6))) / b
 
     sig2 = _row_powers(F)
     sig4 = sig2**2
@@ -335,15 +321,11 @@ def update_quartic_moment(
 
 def update_sextic_moment(F: np.ndarray, m4: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Projection of m4 .* sigma^2 onto the trace hyperplane set by the power budget."""
-    if config.beta3 == 0:
+    a, b, c = budget_coefficients(config.beta1, config.beta3)
+    if c == 0.0:
         raise DegeneratePA("sextic-moment trace target undefined for beta3 = 0")
-    re_b = (config.beta1.conjugate() * config.beta3).real
     norm_sq = float(np.real(np.vdot(F, F)))
-    trace_target = (
-        config.p_tot
-        - abs(config.beta1) ** 2 * norm_sq
-        - 4.0 * re_b * float(np.sum(m4))
-    ) / (6.0 * abs(config.beta3) ** 2)
+    trace_target = (config.p_tot - a * norm_sq - b * float(np.sum(m4))) / c
     target = m4 * _row_powers(F)
     return target - (float(np.sum(target)) - trace_target) / F.shape[0]
 
@@ -364,17 +346,14 @@ def _moment_residuals(F: np.ndarray, m4: np.ndarray, m6: np.ndarray) -> tuple[fl
 
 
 def _initial_point(
-    channels: ChannelRealization,
-    config: SystemConfig,
-    f_init: np.ndarray | None = None,
+    F: np.ndarray, config: SystemConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Power-matched start, exact moments, and the working penalty weights.
+    """F rescaled to the power budget, its exact moments, and the working penalty weights.
 
     Configured penalty strengths are treated as dimensionless and divided by
     the squared norms of the initial moment targets; raw weights would make
     the penalty curvature scale with p_tot^4 and freeze the precoder update.
     """
-    F = _mrt_direction(channels) if f_init is None else np.array(f_init, dtype=complex)
     F = scale_to_power(F, config.p_tot, config.beta1, config.beta3)
     m4, m6 = moment_targets(F)
     if config.beta3 == 0:
@@ -386,20 +365,27 @@ def _initial_point(
     return F, m4, m6, lam1, lam2
 
 
-def _budget_start(channels: ChannelRealization, config: SystemConfig, options: SolverOptions) -> np.ndarray:
+def _budget_start(
+    channels: ChannelRealization,
+    config: SystemConfig,
+    options: SolverOptions,
+    f_init: np.ndarray | None = None,
+) -> tuple[np.ndarray, bool]:
     """Precoder from ascending the weighted objective on the exact power budget.
 
-    Starts at the power-matched matched-filter columns and repeats one
-    ``_budget_ascent`` run (each restarts the conjugate directions) until a
-    run gains less than ``outer_tol`` relative, for at most
-    ``max_outer_iters`` runs. The point is on the budget {F : P(F) = p_tot}.
+    Starts at ``f_init``, or at the matched-filter columns when it is None,
+    and repeats one ``_budget_ascent`` run (each restarts the conjugate
+    directions) until a run gains less than ``outer_tol`` relative, for at
+    most ``max_outer_iters`` runs. Returns the point, which is on the budget
+    {F : P(F) = p_tot}, and whether a run met ``outer_tol`` (false when the
+    runs were spent first).
     """
-    F = _mrt_direction(channels)
+    F = _mrt_direction(channels) if f_init is None else np.asarray(f_init, dtype=complex)
     for _ in range(options.max_outer_iters):
         F, trace = _budget_ascent(None, F, channels, config, options)
         if trace[-1] - trace[0] < options.outer_tol * max(abs(trace[-1]), 1e-12):
-            break
-    return F
+            return F, True
+    return F, False
 
 
 def first_mo_trace(
@@ -410,15 +396,14 @@ def first_mo_trace(
     """Objective trace of a first conjugate-gradient run of the alternation from the matched filter.
 
     Starts at power-matched matched-filter columns with the moments at
-    their exact values (the start ``optimize_full_digital`` takes with a
-    linear amplifier; with a cubic term it first ascends on the exact
-    budget, see ``_budget_start``) and records the penalized objective per
-    accepted inner step. At this starting point the penalty terms are zero,
-    so the first entry equals the weighted rate objective of the
+    their exact values (not at the exact-budget ascent ``optimize_full_digital``
+    starts from, see ``_budget_start``) and records the penalized objective
+    per accepted inner step. At this starting point the penalty terms are
+    zero, so the first entry equals the weighted rate objective of the
     initializer.
     """
     options = options or config.solver
-    F, m4, m6, lam1, lam2 = _initial_point(channels, config)
+    F, m4, m6, lam1, lam2 = _initial_point(_mrt_direction(channels), config)
     _, trace = manifold_cg(F, m4, m6, channels, config, options, lam1, lam2)
     return trace
 
@@ -429,32 +414,51 @@ def optimize_full_digital(
     options: SolverOptions | None = None,
     f_init: np.ndarray | None = None,
 ) -> tuple[PrecoderState, SolveDiagnostics]:
-    """Solve the penalized design problem by alternating exact subproblem updates.
+    """Design the full-digital precoder on the exact power budget.
 
-    With a cubic amplifier term and no ``f_init``, the alternation starts
-    from the ascent of the weighted objective on the exact power budget
-    (``_budget_start``, itself started at power-matched matched-filter
-    columns); with a linear amplifier it starts from the power-matched
-    matched filter, and a given ``f_init`` is rescaled to the power budget
-    and used as is. The moments start at their exact values. If the
-    moment residuals exceed tolerance at convergence, the penalty magnitudes
-    grow and the alternation continues. ``converged`` is true only when the
-    last stage stalled below ``outer_tol`` with the moment residuals within
-    ``moment_residual_tol`` (or with the penalties off); a solve that ends on
-    its round or growth budget reports false.
+    Every solve first ascends the weighted objective on the exact budget
+    {F : P(F) = p_tot} (``_budget_start``), from ``f_init`` or, when it is
+    None, from the matched-filter columns. With a linear amplifier that
+    budget is the sphere |beta1|^2 ||F||_F^2 = p_tot, so the ascent's point
+    is the solution, the diagnostics hold no outer rounds, and ``converged``
+    says whether its last run gained less than ``outer_tol`` relative
+    (false when ``max_outer_iters`` runs were spent first). With a cubic
+    term the budget depends on the moments, and the three-block alternation
+    (``_alternate``) continues from that point and sets ``converged``. The
+    returned moments are the exact ones of the returned precoder.
     """
     options = options or config.solver
-    beta1, beta3 = config.beta1, config.beta3
-    re_b = (beta1.conjugate() * beta3).real
-    hold_m4 = re_b == 0.0
-    hold_m6 = beta3 == 0
-    if f_init is None and not hold_m6:
-        f_init = _budget_start(channels, config, options)
-    F, m4, m6, lam1, lam2 = _initial_point(channels, config, f_init)
+    F, converged = _budget_start(channels, config, options, f_init)
+    diag = SolveDiagnostics(converged=converged)
+    if budget_coefficients(config.beta1, config.beta3)[2] != 0.0:
+        F = _alternate(F, channels, config, options, diag)
+    m4, m6 = moment_targets(F)
+    diag.final_power_residual = (
+        abs(radiated_power(F, config.beta1, config.beta3)[0] - config.p_tot) / config.p_tot
+    )
+    return PrecoderState(full_digital=F, moment4=m4, moment6=m6), diag
 
-    diag = SolveDiagnostics()
+
+def _alternate(
+    F: np.ndarray,
+    channels: ChannelRealization,
+    config: SystemConfig,
+    options: SolverOptions,
+    diag: SolveDiagnostics,
+) -> np.ndarray:
+    """Three-block alternation from F with a cubic amplifier term.
+
+    The moments start at their exact values. If the moment residuals exceed
+    tolerance at convergence, the penalty magnitudes grow and the
+    alternation continues. Records its rounds, rescues and growth rounds in
+    ``diag`` and sets ``diag.converged``: true only when the last stage
+    stalled below ``outer_tol`` with the moment residuals within
+    ``moment_residual_tol``, false when the solve ends on its round or
+    growth budget. Returns the final precoder rescaled onto the exact budget.
+    """
+    hold_m4 = budget_coefficients(config.beta1, config.beta3)[1] == 0.0
+    F, m4, m6, lam1, lam2 = _initial_point(F, config)
     prev_obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
-    outer_index = 0
 
     while True:
         stalled = False
@@ -466,7 +470,6 @@ def optimize_full_digital(
             else max(10, options.max_outer_iters // 5)
         )
         for _ in range(stage_budget):
-            outer_index += 1
             try:
                 F_new, trace = manifold_cg(F, m4, m6, channels, config, options, lam1, lam2)
             except InfeasibleMomentBudget:
@@ -486,33 +489,15 @@ def optimize_full_digital(
             # Feasibility restoration before re-deriving the moments: without
             # it the power mismatch of the drifted precoder lodges in the
             # quartic-moment trace and the alternation stalls there.
-            F = scale_to_power(F, config.p_tot, beta1, beta3)
+            F = scale_to_power(F, config.p_tot, config.beta1, config.beta3)
             if hold_m4:
                 m4 = moment_targets(F)[0]
             else:
                 m4, _ = update_quartic_moment(F, m6, config, lam1, lam2)
-            if hold_m6:
-                m6 = m4 * _row_powers(F)
-            else:
-                m6 = update_sextic_moment(F, m4, config)
+            m6 = update_sextic_moment(F, m4, config)
 
-            penalty = moment_penalty(m4, m6, lam1, lam2)
-            obj, terms = penalized_objective(F, penalty, channels, config, with_terms=True)
-            egrad = euclidean_gradient(F, penalty, channels, config, terms=terms)
-            grad_norm = float(np.linalg.norm(tangent_project(egrad, F)))
-            power = radiated_power(F, beta1, beta3)[0]
-            r4, r6 = _moment_residuals(F, m4, m6)
-            diag.records.append(
-                OuterRecord(
-                    iteration=outer_index,
-                    penalized_objective=obj,
-                    isac_objective=weighted_objective(F, channels, config),
-                    grad_norm=grad_norm,
-                    power_residual=abs(power - config.p_tot) / config.p_tot,
-                    moment_residual_m4=r4,
-                    moment_residual_m6=r6,
-                )
-            )
+            obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
+            diag.records.append(OuterRecord(obj, *_moment_residuals(F, m4, m6)))
             rel = abs(obj - prev_obj) / max(abs(prev_obj), 1e-12)
             prev_obj = obj
             if rel < options.outer_tol:
@@ -520,9 +505,7 @@ def optimize_full_digital(
                 break
 
         r4, r6 = _moment_residuals(F, m4, m6)
-        settled = (r4 <= options.moment_residual_tol and r6 <= options.moment_residual_tol) or (
-            lam1 == 0.0 and lam2 == 0.0
-        )
+        settled = r4 <= options.moment_residual_tol and r6 <= options.moment_residual_tol
         if settled or diag.growth_rounds >= options.max_growth_rounds:
             diag.converged = stalled and settled
             break
@@ -531,15 +514,7 @@ def optimize_full_digital(
         diag.growth_rounds += 1
         prev_obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
 
-    diag.penalty1_final = lam1
-    diag.penalty2_final = lam2
-
     # Feasibility restoration: the penalty equilibrium leaves a small bias in
     # the true output power, so return a precoder rescaled onto the exact
-    # budget with the moments at their exact values.
-    F = scale_to_power(F, config.p_tot, beta1, beta3)
-    m4, m6 = moment_targets(F)
-    diag.final_power_residual = (
-        abs(radiated_power(F, beta1, beta3)[0] - config.p_tot) / config.p_tot
-    )
-    return PrecoderState(full_digital=F, moment4=m4, moment6=m6), diag
+    # budget (the caller re-derives the exact moments).
+    return scale_to_power(F, config.p_tot, config.beta1, config.beta3)

@@ -11,6 +11,7 @@ from dabf.metrics import weighted_objective
 from dabf.solver import (
     DegeneratePA,
     InfeasibleMomentBudget,
+    _budget_ascent,
     _budget_start,
     _mrt_direction,
     first_mo_trace,
@@ -448,7 +449,7 @@ def power_matched_mrt(ch, cfg):
 def test_budget_start_is_feasible_and_beats_matched_filter(seed):
     cfg = convergence_scale_config()
     ch = draw_channels(cfg, np.random.default_rng(600 + seed))
-    F = _budget_start(ch, cfg, cfg.solver)
+    F, _ = _budget_start(ch, cfg, cfg.solver)
     power = radiated_power(F, cfg.beta1, cfg.beta3)[0]
     assert abs(power - cfg.p_tot) <= 1e-12 * cfg.p_tot
     assert weighted_objective(F, ch, cfg) >= weighted_objective(power_matched_mrt(ch, cfg), ch, cfg)
@@ -483,3 +484,53 @@ def test_first_mo_trace_starts_at_power_matched_matched_filter():
     # Equal up to the rounding of the retraction onto the moments' sphere.
     start = weighted_objective(power_matched_mrt(ch, cfg), ch, cfg)
     assert abs(trace[0] - start) <= 1e-12 * start
+
+
+# ------------------------------------------------------------------ linear PA
+
+
+def linear_desk_instance(seed):
+    cfg = convergence_scale_config().with_updates(beta3=0j)
+    return cfg, draw_channels(cfg, np.random.default_rng(seed))
+
+
+def test_linear_solve_runs_no_alternation(monkeypatch):
+    # With a linear amplifier the budget is the sphere |beta1|^2 ||F||^2 = p_tot,
+    # so the exact-budget ascent is the whole solve.
+    import dabf.solver as solver_mod
+
+    cfg, ch = linear_desk_instance(630)
+    calls = {"n": 0}
+    real_cg = solver_mod.manifold_cg
+
+    def counted_cg(*args, **kwargs):
+        calls["n"] += 1
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "manifold_cg", counted_cg)
+    optimize_full_digital(ch, cfg)
+    assert calls["n"] == 0
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_linear_solve_returns_budget_start_point(given):
+    cfg, ch = linear_desk_instance(631)
+    f_init = random_complex((cfg.n_tx, cfg.n_users), 632) if given else None
+    F, converged = _budget_start(ch, cfg, cfg.solver, f_init)
+    state, diag = optimize_full_digital(ch, cfg, f_init=f_init)
+    assert np.array_equal(state.full_digital, F)
+    assert diag.converged == converged
+    assert diag.records == [] and diag.inner_traces == []
+    m4, m6 = moment_targets(F)
+    assert np.array_equal(state.moment4, m4) and np.array_equal(state.moment6, m6)
+    assert diag.final_power_residual < 1e-12
+
+
+def test_linear_solve_out_of_runs_is_not_converged():
+    # One exact-budget run from the matched filter still gains far more than outer_tol.
+    cfg, ch = linear_desk_instance(633)
+    opts = SolverOptions(max_outer_iters=1)
+    _, trace = _budget_ascent(None, _mrt_direction(ch), ch, cfg, opts)
+    assert trace[-1] - trace[0] >= opts.outer_tol * abs(trace[-1])
+    assert optimize_full_digital(ch, cfg, opts)[1].converged is False
+    assert optimize_full_digital(ch, cfg)[1].converged is True
