@@ -85,7 +85,7 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _as_complex(value: Any, key: str) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, str):
         try:

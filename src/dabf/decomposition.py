@@ -23,16 +23,10 @@ from .distortion import power_match_scale
 from .solver import _budget_ascent
 
 
-def _block_slices(n_tx: int, n_rf: int) -> list[slice]:
-    size = n_tx // n_rf
-    return [slice(i * size, (i + 1) * size) for i in range(n_rf)]
-
-
 def analog_from_phases(phases: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
-    """Assemble the block-diagonal analog matrix from per-antenna phases."""
+    """Assemble the block-diagonal analog matrix from per-antenna phases (chain i drives subarray i)."""
     F_A = np.zeros((n_tx, n_rf), dtype=complex)
-    for i, rows in enumerate(_block_slices(n_tx, n_rf)):
-        F_A[rows, i] = np.exp(1j * phases[rows])
+    F_A[np.arange(n_tx), np.arange(n_tx) // (n_tx // n_rf)] = np.exp(1j * phases)
     return F_A
 
 
@@ -57,7 +51,7 @@ def decompose(
         raise ConfigError(f"n_tx={n_tx} must be divisible by n_rf={n_rf}")
     if k > n_rf:
         raise ConfigError(f"need n_users={k} <= n_rf={n_rf}")
-    blocks = _block_slices(n_tx, n_rf)
+    supported = np.arange(n_tx), np.arange(n_tx) // (n_tx // n_rf)  # the (antenna, chain) entries of F_A
 
     if init_phases is not None:
         phases = np.array(init_phases, dtype=float)
@@ -65,11 +59,10 @@ def decompose(
             raise ConfigError(f"init_phases must have shape ({n_tx},)")
     else:
         # Warm start: copy phases of each subarray's strongest column.
-        phases = np.zeros(n_tx)
-        for rows in blocks:
-            energies = np.sum(np.abs(F[rows, :]) ** 2, axis=0)
-            lead = F[rows, int(np.argmax(energies))]
-            phases[rows] = np.where(np.abs(lead) > 0.0, np.angle(lead), 0.0)
+        blocks = F.reshape(n_rf, n_tx // n_rf, k)
+        strongest = np.argmax(np.sum(np.abs(blocks) ** 2, axis=1), axis=1)
+        lead = blocks[np.arange(n_rf), :, strongest].reshape(n_tx)
+        phases = np.where(np.abs(lead) > 0.0, np.angle(lead), 0.0)
     F_A = analog_from_phases(phases, n_tx, n_rf)
 
     residuals: list[float] = []
@@ -83,10 +76,8 @@ def decompose(
             break
         prev = residual
 
-        correlation = F @ F_D.conj().T
-        for i, rows in enumerate(blocks):
-            z = correlation[rows, i]
-            phases[rows] = np.where(np.abs(z) > 0.0, np.angle(z), phases[rows])
+        z = (F @ F_D.conj().T)[supported]
+        phases = np.where(np.abs(z) > 0.0, np.angle(z), phases)
         F_A = analog_from_phases(phases, n_tx, n_rf)
     else:
         F_D = (n_rf / n_tx) * (F_A.conj().T @ F)
@@ -98,12 +89,8 @@ def analog_feasibility_check(F_A: np.ndarray, n_tx: int, n_rf: int, tol: float =
     """True iff F_A has the exact subarray support with unit-modulus entries."""
     if F_A.shape != (n_tx, n_rf) or n_tx % n_rf != 0:
         return False
-    mask = np.zeros((n_tx, n_rf), dtype=bool)
-    for i, rows in enumerate(_block_slices(n_tx, n_rf)):
-        mask[rows, i] = True
-    if np.any(F_A[~mask] != 0):
-        return False
-    return bool(np.all(np.abs(np.abs(F_A[mask]) - 1.0) <= tol))
+    mask = analog_from_phases(np.zeros(n_tx), n_tx, n_rf) != 0
+    return not np.any(F_A[~mask] != 0) and bool(np.all(np.abs(np.abs(F_A[mask]) - 1.0) <= tol))
 
 
 def refine_digital(F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemConfig) -> np.ndarray:

@@ -62,11 +62,15 @@ class ExperimentSpec:
             raise ConfigError("sweep grid must be non-empty")
         if list(self.grid) != sorted(self.grid):
             raise ConfigError("sweep grid must be sorted ascending")
+        if self.kind == "sweep_nonlinearity" and self.grid[0] < 0.0:
+            raise ConfigError(f"rho must be non-negative, got {self.grid[0]!r}")
         if len(self.schemes) == 0:
             raise ConfigError("scheme list must be non-empty")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; valid: {', '.join(SCHEMES)}")
+            if s in self.schemes[:i]:
+                raise ConfigError(f"scheme {s!r} is listed twice")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if not 0.0 < self.angle_step_deg <= 10.0:

@@ -1,14 +1,31 @@
-"""Link-quality metrics: per-user SINDR, sensing SNDR, weighted objective."""
+"""Link-quality metrics: per-user SINDR, sensing SNDR, weighted objective.
+
+Every evaluation runs one probe kernel, ``_probe``, on probe rows r^H (the
+user channels, then the sensing steering vector times |target gain|). It
+holds a precoder with the antennas on the last axis, X = F^T (..., K, n_tx),
+so elementwise steps run along the antennas, and never forms C = F F^H: the
+distortion covariance 2|beta3|^2 C .* |C|^2 is 2|beta3|^2 T T^H with
+T[(a,b,c)] = X_a X_b conj(X_c). Rows (a,b,c) and (b,a,c) are equal, so only
+the K^2(K+1)/2 rows with a <= b are built, and those with a < b count twice.
+One matrix product probes B X (B the Bussgang gain) and T together, so an
+evaluation costs O(n_tx K^3) per probe. Per probe, ``rest`` is the leaked,
+distortion and noise power and ``total`` adds the useful power: the SINDR
+and SNDR are useful / rest, the objective is sum_r coeff_r ln(total_r /
+rest_r), and the gradient weights come from coeff_r / total_r and / rest_r.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
 from .distortion import radiated_power
+
+_LOG2E = 1.0 / np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -23,51 +40,93 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class LinkTerms:
-    """Signal/interference/distortion powers entering the rate expressions.
+    """Per-probe powers behind the SINDR and sensing SNDR (probes: the users, then the sensing link).
 
-    ``signal``/``interference``/``distortion`` are per-user arrays; the
-    ``sense_*`` scalars are the sensing-link analogues. For a stack of
-    precoders every field gains the stack's leading axes.
+    ``parts[..., :, r]``: probe r's useful power, the power other users' streams leak into it, its distortion power."""
+
+    parts: np.ndarray
+
+    signal = property(lambda self: self.parts[..., 0, :-1])
+    interference = property(lambda self: self.parts[..., 1, :-1])
+    distortion = property(lambda self: self.parts[..., 2, :-1])
+    sense_signal = property(lambda self: self.parts[..., 0, -1])
+    sense_distortion = property(lambda self: self.parts[..., 2, -1])
+
+
+@dataclass(frozen=True)
+class Link:
+    """What the probe kernel and the gradient need that does not depend on F.
+
+    ``probed``/``spread``: real forms of the probe rows r^H, transposed and
+    not; ``pairs``: the stream pairs a <= b of T's rows; ``masks``: weights of
+    the squared kernel rows into each probe's useful, leaked and distortion
+    powers. The gradient weighs rows ``grad_rows`` of the probed kernel (the
+    streams, then every (a,b,c) of T) by ``grad_weights`` over total and rest.
+    ``noise`` and ``coeff`` (objective weights over ln 2) are per probe.
+    ``scratch`` reuses the kernel's row buffer per stack shape (one caller at a time).
     """
 
-    signal: np.ndarray
-    interference: np.ndarray
-    distortion: np.ndarray
-    sense_signal: float | np.ndarray
-    sense_distortion: float | np.ndarray
+    probed: np.ndarray
+    spread: np.ndarray
+    beta1: complex
+    beta3: complex
+    pairs: tuple[np.ndarray, np.ndarray]
+    masks: np.ndarray
+    grad_rows: np.ndarray
+    grad_weights: np.ndarray
+    noise: np.ndarray
+    coeff: np.ndarray
+    scratch: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, channels: ChannelRealization, config: SystemConfig) -> Link:
+        probes = _probe_rows(channels, config.target_gain)
+        return _link(probes, config.n_users, config.beta1, config.beta3, *_noise_coeff(config))
 
 
-def _face_split(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin factors of the Hadamard powers of C = F F^H.
-
-    Returns (W, T) with |C|^2 = W W^H and C .* C .* conj(C) = T T^H. Row i of
-    W (n_tx, K^2) holds F_ia conj(F_ib); row i of T (n_tx, K^3) holds
-    F_ia F_ib conj(F_ic). These are face-splitting products of F, so every
-    distortion quadratic form r^H (C .* |C|^2) r equals ||T^H r||^2. A
-    (B, n_tx, K) stack of precoders gives stacks of factors.
-    """
-    *lead, n_tx, k = F.shape
-    W = (F[..., :, None] * F.conj()[..., None, :]).reshape(*lead, n_tx, k * k)
-    T = (F[..., :, None] * W[..., None, :]).reshape(*lead, n_tx, k**3)
-    return W, T
+def _noise_coeff(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per probe (the users, then the sensing link): the noise power and the objective weight over ln 2."""
+    weights = np.append(np.full(config.n_users, config.weight_comm), config.weight_sense)
+    return np.append(config.noise_user_array, config.noise_sense), _LOG2E * weights
 
 
-def _probe_terms(F: np.ndarray, probes: np.ndarray, beta1: complex, beta3: complex):
-    """Amplified-signal and distortion products of F seen through probe rows r^H.
+def _link(probes: np.ndarray, k: int, beta1: complex, beta3: complex, noise=0.0, coeff=0.0) -> Link:
+    """The ``Link`` of ``probes`` for k streams: probe r < k is user r's, later probes count every stream as useful."""
+    pairs, masks, grad_rows, grad_weights = _layout(k, len(probes))
+    d3 = 2.0 * abs(beta3) ** 2
+    masks = masks * np.array([1.0, 1.0, d3])[:, None, None]
+    grad_weights = grad_weights * coeff * np.where(np.arange(len(grad_rows)) < k, 1.0, d3)[:, None]
+    return Link(
+        _real_form(probes.T), _real_form(probes), complex(beta1), complex(beta3), pairs, masks, grad_rows,
+        grad_weights, noise, coeff,
+    )
 
-    Returns (gain_diag, W, T, rx, U): rx[r, i] = r^H B f_i with the Bussgang
-    gain B, and U = probes @ T, so r^H C_e r = 2|beta3|^2 ||U[r]||^2. Every
-    result carries the leading stack axes of F, if any.
-    """
-    W, T = _face_split(F)
-    # Columns a*(K+1) of W hold |F_ia|^2, so they sum to the antenna powers.
-    gain_diag = beta1 + 2.0 * beta3 * W[..., :: F.shape[-1] + 1].real.sum(axis=-1)
-    return gain_diag, W, T, probes @ (gain_diag[..., None] * F), probes @ T
+
+@functools.cache
+def _layout(k: int, m: int) -> tuple:
+    """Read-only pairs, masks, gradient rows and weights of ``Link`` for 2|beta3|^2 = 1 and unit coeff."""
+    pair_a, pair_b = np.triu_indices(k)
+    leaked = np.zeros((k, m))
+    leaked[:, :k] = 1.0 - np.eye(k)[:, :m]
+    masks = np.zeros((3, k + k * len(pair_a), m))
+    masks[:2, :k] = 1.0 - leaked, leaked
+    masks[2, k:] = np.repeat(np.where(pair_a == pair_b, 1.0, 2.0), k)[:, None]
+    sym = np.zeros((k, k), dtype=int)  # index of the pair (a, b) among the pairs a <= b
+    sym[pair_a, pair_b] = sym[pair_b, pair_a] = np.arange(len(pair_a))
+    a, b, c = np.indices((k, k, k)).reshape(3, -1)
+    grad_weights = np.stack((np.ones((k + k**3, m)), -np.vstack((leaked, np.ones((k**3, m))))))
+    tables = (pair_a, pair_b), masks, np.append(np.arange(k), k + k * sym[a, b] + c), grad_weights
+    for table in (pair_a, pair_b, *tables[1:]):
+        table.flags.writeable = False
+    return tables
 
 
-def _received_powers(rx: np.ndarray, U: np.ndarray, beta3: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(|rx|^2, 2|beta3|^2 ||U[r]||^2): per-stream received and per-probe distortion powers."""
-    return np.abs(rx) ** 2, 2.0 * abs(beta3) ** 2 * (np.abs(U) ** 2).sum(axis=-1)
+def _real_form(P: np.ndarray) -> np.ndarray:
+    """Real matrix R with (x.view(float) @ R).view(complex) = x @ P for complex rows x."""
+    R = np.empty((len(P), 2, P.shape[1], 2))
+    R[:, 0, :, 0] = R[:, 1, :, 1] = P.real
+    R[:, 0, :, 1], R[:, 1, :, 0] = P.imag, -P.imag
+    return R.reshape(2 * len(P), -1)
 
 
 def _probe_rows(channels: ChannelRealization, target_gain: complex) -> np.ndarray:
@@ -75,22 +134,45 @@ def _probe_rows(channels: ChannelRealization, target_gain: complex) -> np.ndarra
     return np.vstack((channels.user_channels, abs(target_gain) * channels.sense_steering)).conj()
 
 
+def _probe(F: np.ndarray, link: Link) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma^2, gain, Y, parts) of F (n_tx, K), or of each slice of a (B, n_tx, K) stack.
+
+    ``sigma^2`` are the antenna input powers and ``gain`` the Bussgang gain
+    diagonal. Y (..., K + R, m) holds r^H B f_i in its first K rows, then
+    the probed rows of T: row K + s*K + c for pair s and stream c. ``parts``
+    (..., 3, m) are the per-probe powers of ``LinkTerms``.
+    """
+    X = np.ascontiguousarray(F.swapaxes(-1, -2))
+    *lead, k, n = X.shape
+    Xc = X.conj()
+    sig2 = (X * Xc).real.sum(axis=-2)
+    gain = link.beta1 + 2.0 * link.beta3 * sig2
+    shape = (*lead, k + k * len(link.pairs[0]), n)
+    rows = link.scratch.get(shape)
+    if rows is None:
+        rows = link.scratch[shape] = np.empty(shape, dtype=complex)
+    np.multiply(gain[..., None, :], X, out=rows[..., :k, :])
+    pairs = X[..., link.pairs[0], :] * X[..., link.pairs[1], :]
+    # Splitting an axis of a slice is always a view, so this writes into ``rows``.
+    np.multiply(pairs[..., :, None, :], Xc[..., None, :, :], out=rows[..., k:, :].reshape(*lead, -1, k, n))
+    Y = (rows.view(float) @ link.probed).view(complex)
+    return sig2, gain, Y, ((Y * Y.conj()).real[..., None, :, :] * link.masks).sum(axis=-2)
+
+
+def _rates(parts: np.ndarray, noise, coeff) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per probe rest (leaked + distortion + noise) and total (rest + useful) powers; the objective per slice."""
+    rest = parts[..., 1, :] + parts[..., 2, :] + noise
+    total = rest + parts[..., 0, :]
+    return rest, total, (coeff * np.log(total / rest)).sum(axis=-1)
+
+
 def probe_powers(
     F: np.ndarray, probes: np.ndarray, beta1: complex, beta3: complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-stream received powers |r^H B f_i|^2 (m, K) and distortion powers r^H C_e r (m,)."""
-    _, _, _, rx, U = _probe_terms(F, probes, beta1, beta3)
-    return _received_powers(rx, U, beta3)
-
-
-def _split_powers(powers: np.ndarray, distortion: np.ndarray) -> LinkTerms:
-    """Link terms from the probe powers: user probes first, the sensing probe last."""
-    k = powers.shape[-1]
-    signal = np.diagonal(powers, axis1=-2, axis2=-1).copy()
-    interference = powers[..., :k, :].sum(axis=-1) - signal
-    return LinkTerms(
-        signal, interference, distortion[..., :k], powers[..., k, :].sum(axis=-1), distortion[..., k]
-    )
+    k = F.shape[-1]
+    _, _, Y, parts = _probe(F, _link(probes, k, beta1, beta3))
+    return (Y[..., :k, :] * Y[..., :k, :].conj()).real.swapaxes(-1, -2), parts[..., 2, :]
 
 
 def link_terms(
@@ -100,30 +182,13 @@ def link_terms(
     beta3: complex,
     target_gain: complex,
 ) -> LinkTerms:
-    """Evaluate the quadratic forms behind SINDR and sensing SNDR for F."""
-    return _split_powers(*probe_powers(F, _probe_rows(channels, target_gain), beta1, beta3))
-
-
-def weighted_objective_from_terms(
-    terms: LinkTerms, config: SystemConfig
-) -> tuple[np.ndarray, float, float]:
-    """(per-user SINDR, sensing SNDR, weighted rate objective) from powers.
-
-    Terms with leading stack axes give one SNDR and one objective per slice.
-    """
-    noise = config.noise_user_array
-    gammas = terms.signal / (terms.interference + terms.distortion + noise)
-    gamma_s = terms.sense_signal / (terms.sense_distortion + config.noise_sense)
-    rates = np.log2(1.0 + gammas)
-    mi = np.log2(1.0 + gamma_s)
-    objective = config.weight_comm * rates.sum(axis=-1) + config.weight_sense * mi
-    return gammas, gamma_s, objective
+    """Evaluate the powers behind SINDR and sensing SNDR for F."""
+    return LinkTerms(_probe(F, _link(_probe_rows(channels, target_gain), F.shape[-1], beta1, beta3))[3])
 
 
 def weighted_objective(F: np.ndarray, channels: ChannelRealization, config: SystemConfig) -> float:
     """Weighted sum of user rates and sensing MI (no penalty terms)."""
-    terms = link_terms(F, channels, config.beta1, config.beta3, config.target_gain)
-    return float(weighted_objective_from_terms(terms, config)[2])
+    return evaluate_metrics(channels, F, config).weighted_objective
 
 
 def evaluate_metrics(
@@ -138,14 +203,16 @@ def evaluate_metrics(
     F = np.asarray(precoder)
     if F.shape != (config.n_tx, config.n_users):
         raise ValueError(f"precoder must be ({config.n_tx}, {config.n_users}), got {F.shape}")
-    terms = link_terms(F, channels, config.beta1, config.beta3, config.target_gain)
-    gammas, gamma_s, objective = weighted_objective_from_terms(terms, config)
-    power, _, _ = radiated_power(F, config.beta1, config.beta3)
+    noise, coeff = _noise_coeff(config)
+    parts = link_terms(F, channels, config.beta1, config.beta3, config.target_gain).parts
+    rest, _, objective = _rates(parts, noise, coeff)
+    gammas = parts[0] / rest
+    rates = np.log2(1.0 + gammas)
     return MetricsReport(
-        user_sindr=gammas,
-        user_rates=np.log2(1.0 + gammas),
-        sense_sndr=float(gamma_s),
-        sense_mi=float(np.log2(1.0 + gamma_s)),
+        user_sindr=gammas[:-1],
+        user_rates=rates[:-1],
+        sense_sndr=float(gammas[-1]),
+        sense_mi=float(rates[-1]),
         weighted_objective=float(objective),
-        radiated_power=power,
+        radiated_power=radiated_power(F, config.beta1, config.beta3)[0],
     )

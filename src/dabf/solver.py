@@ -108,10 +108,10 @@ def retract(F: np.ndarray, tangent_step: np.ndarray, c1: float) -> np.ndarray:
     if c1 <= 0.0:
         raise InfeasibleMomentBudget(f"sphere radius squared must be positive, got {c1}")
     moved = F + tangent_step
-    norms = np.array([np.linalg.norm(x) for x in moved.reshape(-1, *F.shape)])
+    norms = np.sqrt((moved.reshape(*moved.shape[:-2], -1).view(float) ** 2).sum(axis=-1))  # over (re, im) pairs
     if np.any(norms == 0.0):
         raise ValueError("cannot retract the zero matrix")
-    return (np.sqrt(c1) / norms).reshape(moved.shape[:-2] + (1, 1)) * moved
+    return (np.sqrt(c1) / norms)[..., None, None] * moved
 
 
 def sphere_radius_sq(m4: np.ndarray, m6: np.ndarray, config: SystemConfig) -> float:

@@ -7,9 +7,11 @@ KKT linear solve for the constrained moment updates, the closed-form moment
 updates over full n_tx x n_tx Hermitian matrices (whose diagonals the
 library's vector updates must equal), dense n_tx x n_tx forms of the
 link terms, the distortion covariance, the moment penalties and their
-gradient, a bisection for the power-matching scale, and the
+gradient, a bisection for the power-matching scale, the
 one-trial-at-a-time Armijo search of the conjugate-gradient ascent, which
-the library's stacked search must reproduce exactly.
+the library's stacked search must reproduce exactly, and the block-by-block
+loops of the hybrid factorization, which its vectorized updates must
+reproduce exactly.
 """
 
 from __future__ import annotations
@@ -491,3 +493,49 @@ def ascend(
                 break
 
     return point, np.asarray(trace)
+
+
+def analog_from_phases(phases: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
+    """Block-diagonal analog matrix, one subarray block at a time."""
+    size = n_tx // n_rf
+    F_A = np.zeros((n_tx, n_rf), dtype=complex)
+    for i in range(n_rf):
+        rows = slice(i * size, (i + 1) * size)
+        F_A[rows, i] = np.exp(1j * phases[rows])
+    return F_A
+
+
+def decompose(F, n_rf, max_iters=100, tol=1e-8, init_phases=None):
+    """Alternating factorization F ~= F_A @ F_D with a loop over the subarray blocks."""
+    n_tx, k = F.shape
+    size = n_tx // n_rf
+    blocks = [slice(i * size, (i + 1) * size) for i in range(n_rf)]
+    if init_phases is not None:
+        phases = np.array(init_phases, dtype=float)
+    else:
+        phases = np.zeros(n_tx)
+        for rows in blocks:
+            energies = np.sum(np.abs(F[rows, :]) ** 2, axis=0)
+            lead = F[rows, int(np.argmax(energies))]
+            phases[rows] = np.where(np.abs(lead) > 0.0, np.angle(lead), 0.0)
+    F_A = analog_from_phases(phases, n_tx, n_rf)
+
+    residuals = []
+    prev = None
+    F_D = np.zeros((n_rf, k), dtype=complex)
+    for _ in range(max_iters):
+        F_D = (n_rf / n_tx) * (F_A.conj().T @ F)
+        residual = float(np.linalg.norm(F - F_A @ F_D))
+        residuals.append(residual)
+        if prev is not None and abs(prev - residual) <= tol * max(prev, 1e-300):
+            break
+        prev = residual
+        correlation = F @ F_D.conj().T
+        for i, rows in enumerate(blocks):
+            z = correlation[rows, i]
+            phases[rows] = np.where(np.abs(z) > 0.0, np.angle(z), phases[rows])
+        F_A = analog_from_phases(phases, n_tx, n_rf)
+    else:
+        F_D = (n_rf / n_tx) * (F_A.conj().T @ F)
+        residuals.append(float(np.linalg.norm(F - F_A @ F_D)))
+    return F_A, F_D, np.asarray(residuals)

@@ -79,6 +79,24 @@ def test_complex_value_forms(tmp_path):
     assert spec.system.beta3 == -0.08 + 0.1j
 
 
+def test_negative_rho_rejected(tmp_path):
+    path = write(tmp_path, "experiment: sweep_nonlinearity\nsweep:\n  grid: [-0.1, 0.0]\n")
+    with pytest.raises(ConfigError, match=r"rho must be non-negative, got -0\.1"):
+        parse_config(path)
+
+
+def test_repeated_scheme_rejected(tmp_path):
+    path = write(tmp_path, "experiment: sweep_snr\nschemes: [mrt, zf, mrt]\n")
+    with pytest.raises(ConfigError, match="'mrt' is listed twice"):
+        parse_config(path)
+
+
+def test_boolean_complex_value_rejected(tmp_path):
+    path = write(tmp_path, "experiment: sweep_snr\nsystem:\n  beta3: true\n")
+    with pytest.raises(ConfigError, match="beta3: expected number.*got True"):
+        parse_config(path)
+
+
 def test_noise_override_and_per_user_values(tmp_path):
     path = write(
         tmp_path,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dabf import gradients
 from dabf.baselines import mrt_precoder
 from dabf.channel import draw_channels
@@ -79,6 +80,26 @@ def test_all_zero_input_is_handled():
     assert analog_feasibility_check(F_A, 8, 4)
     assert np.all(F_D == 0)
     assert residuals[-1] == 0.0
+
+
+@pytest.mark.parametrize("n_tx,n_rf,k", [(6, 6, 2), (12, 4, 3), (16, 4, 2), (64, 16, 2), (256, 16, 4)])
+@pytest.mark.parametrize("start", ["warm", "zero_rows", "given"])
+def test_decompose_equals_block_loop_oracle(n_tx, n_rf, k, start):
+    # The vectorized phase updates and analog assembly are exact rewrites of
+    # the loops over subarray blocks kept in ``oracles``.
+    F = random_complex((n_tx, k), n_tx + k)
+    init = None
+    if start == "zero_rows":
+        F[: n_tx // 2 : 3] = 0.0  # zero correlations keep their previous phase
+    if start == "given":
+        init = np.random.default_rng(n_tx).uniform(-np.pi, np.pi, n_tx)
+    got = decompose(F, n_rf, init_phases=init)
+    expected = oracles.decompose(F, n_rf, init_phases=init)
+    assert len(got[2]) > 1
+    for new, ref in zip(got, expected):
+        assert np.array_equal(new, ref)
+    phases = np.random.default_rng(n_rf).uniform(-np.pi, np.pi, n_tx)
+    assert np.array_equal(analog_from_phases(phases, n_tx, n_rf), oracles.analog_from_phases(phases, n_tx, n_rf))
 
 
 def test_divisibility_violation_rejected():

@@ -21,7 +21,7 @@ from oracles import fd_wirtinger_grad
 def make_instance(seed, weight_comm=0.5, beta3=-0.08 + 0.1j, n_tx=4, k=2):
     cfg = SystemConfig(
         n_tx=n_tx,
-        n_rf=k,
+        n_rf=k if n_tx % k == 0 else n_tx,
         n_users=k,
         n_paths=2,
         p_tot=4.0,
@@ -126,10 +126,13 @@ def test_gradient_rejects_mismatched_shapes():
 
 # ------------------------------------------------- thin kernels vs dense oracles
 
+# K = 3 (the first odd K > 1: 6 distinct stream pairs a <= b of 9) and n_tx = 256 come
+# after the original cases, so those keep their test ids.
 KERNEL_CASES = [
     (n_tx, k, beta3, lams)
-    for n_tx in (4, 16, 64)
-    for k in (1, 2, 4)
+    for sizes, ks in (((4, 16, 64), (1, 2, 4)), ((4, 16, 64), (3,)), ((256,), (1, 2, 3, 4)))
+    for n_tx in sizes
+    for k in ks
     for beta3 in (0j, -0.08 + 0.1j)
     for lams in ((0.0, 0.0), (-3.0, -1.5))
 ]

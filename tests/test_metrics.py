@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from dabf.channel import draw_channels, steering_vector
 from dabf.config import SystemConfig
 from dabf.gradients import moment_penalty, moment_targets, penalized_objective
-from dabf.metrics import LinkTerms, evaluate_metrics, weighted_objective, weighted_objective_from_terms
+from dabf.metrics import Link, LinkTerms, _rates, evaluate_metrics, weighted_objective
 from oracles import DistortionModel, sensing_sndr, user_sindr
 
 BETA1 = 1.14 - 0.08j
@@ -110,16 +110,10 @@ def test_sensing_sndr_matches_scripted_formula():
 def test_unit_sinr_objective_value():
     # gamma_k = 1 for both users and gamma_s = 1 with equal weights: 1.5 bits.
     cfg = small_config()
-    terms = LinkTerms(
-        signal=np.array([1.0, 2.0]),
-        interference=np.array([0.5, 1.0]),
-        distortion=np.array([0.45, 0.95]),
-        sense_signal=3.0,
-        sense_distortion=3.0 - cfg.noise_sense,
-    )
-    gammas, gamma_s, objective = weighted_objective_from_terms(terms, cfg)
-    np.testing.assert_allclose(gammas, [1.0, 1.0], atol=1e-12)
-    assert abs(gamma_s - 1.0) < 1e-12
+    link = Link.of(draw_channels(cfg, np.random.default_rng(7)), cfg)
+    terms = LinkTerms(np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 0.0], [0.45, 0.95, 3.0 - cfg.noise_sense]]))
+    rest, _, objective = _rates(terms.parts, link.noise, link.coeff)
+    np.testing.assert_allclose(terms.parts[0] / rest, [1.0, 1.0, 1.0], atol=1e-12)
     assert abs(objective - 1.5) < 1e-12
 
 
