@@ -14,7 +14,6 @@ from .metrics import MetricsReport, evaluate_metrics, probe_powers, weighted_obj
 from .solver import (
     DegeneratePA,
     InfeasibleMomentBudget,
-    OuterRecord,
     PrecoderState,
     SolveDiagnostics,
     first_mo_trace,
@@ -44,7 +43,6 @@ __all__ = [
     "InfeasibleMomentBudget",
     "MetricsReport",
     "MomentPenalty",
-    "OuterRecord",
     "PrecoderState",
     "SolveDiagnostics",
     "SolverOptions",

@@ -32,25 +32,23 @@ def noise_from_snr(p_tot_mw: float, snr_db: float) -> float:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and iteration limits for the alternating optimizer.
+    """Tolerances and iteration limits of the Fletcher-Reeves/Armijo ascent.
 
     ``max_mo_iters``, ``mo_grad_tol_scale``, the ``armijo_*`` options and the
-    stall threshold ``outer_tol / 10`` govern both ascents that share the
-    Fletcher-Reeves/Armijo engine: the sphere-constrained precoder update of
-    the full-digital solve and the digital-factor refinement of a hybrid.
+    stall threshold ``outer_tol / 10`` govern every ascent that shares the
+    engine: the exact-budget design of a full-digital precoder, the
+    digital-factor refinement of a hybrid and the sphere-constrained
+    ``manifold_cg`` of the convergence figure.
     ``armijo_init_step`` is a dimensionless scale: the first trial step of
     the backtracking search is ``armijo_init_step / ||grad||_F``. The search
     evaluates its ``armijo_max_backtracks`` trial steps a few at a time as
     one stack, the first trial that passes the Armijo test wins, and the
     gradient at the accepted point reuses that trial's probe terms; the
     steps taken are exactly those of a one-by-one search.
-    ``max_outer_iters`` and ``outer_tol`` also bound the exact-budget ascent
-    every full-digital solve starts with: at most ``max_outer_iters``
-    ascents, stopped once one gains less than ``outer_tol`` relative. With
-    a linear amplifier that ascent is the whole solve, and a solve that
-    spends the ascents first reports ``converged = False``. The other round,
-    penalty and rescue options govern only the alternation of a solve with
-    a cubic term.
+    ``max_outer_iters`` and ``outer_tol`` bound the full-digital design: at
+    most ``max_outer_iters`` exact-budget ascents, stopped once one gains
+    less than ``outer_tol`` relative. A design that spends the ascents
+    first reports ``converged = False``.
     """
 
     max_outer_iters: int = 50
@@ -61,10 +59,6 @@ class SolverOptions:
     armijo_contraction: float = 0.5
     armijo_slope: float = 1e-4
     armijo_max_backtracks: int = 30
-    penalty_growth: float = 5.0
-    moment_residual_tol: float = 1e-3
-    max_growth_rounds: int = 4
-    max_rescues: int = 20
 
     def __post_init__(self) -> None:
         positive = {
@@ -74,7 +68,6 @@ class SolverOptions:
             "mo_grad_tol_scale": self.mo_grad_tol_scale,
             "armijo_init_step": self.armijo_init_step,
             "armijo_max_backtracks": self.armijo_max_backtracks,
-            "moment_residual_tol": self.moment_residual_tol,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -83,8 +76,6 @@ class SolverOptions:
             raise ConfigError("armijo_contraction must lie strictly in (0, 1)")
         if not 0.0 < self.armijo_slope < 1.0:
             raise ConfigError("armijo_slope must lie strictly in (0, 1)")
-        if self.penalty_growth <= 1.0:
-            raise ConfigError("penalty_growth must exceed 1")
 
     def mo_grad_tol(self, n_tx: int, n_users: int) -> float:
         return self.mo_grad_tol_scale * math.sqrt(n_tx * n_users)

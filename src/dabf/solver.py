@@ -1,28 +1,26 @@
-"""Alternating optimizer for the distortion-aware full-digital precoder.
+"""Full-digital precoder design on the exact power budget.
 
-One outer round alternates three exact subproblem solves:
+The design (``optimize_full_digital``) ascends the weighted objective on
+the budget's level set {F : P(F) = p_tot}, with one path for every
+amplifier: ``_budget_start`` repeats the conjugate-gradient engine of the
+hybrid refinement (``_budget_ascent``) on the precoder itself. The gradient
+and the previous direction are projected onto the tangent space of that
+level set, whose normal is ``budget_normal``, and each trial is rescaled
+back onto the budget.
 
-1. Riemannian conjugate-gradient ascent of the penalized objective over the
-   fixed-Frobenius-norm sphere implied by the current moments.
-2. Closed-form constrained update of the quartic moment (trace pinned by the
-   power budget).
-3. Hyperplane projection update of the sextic moment.
-
-Each step never decreases the penalized objective, and the triple
-(precoder, m4, m6) keeps the expanded power-budget equality exact.
-
-Every solve starts with an ascent of the weighted objective on the exact
-power budget (``_budget_start``), which runs the engine of the hybrid
-refinement (``_budget_ascent``) on the precoder itself. With a linear
-amplifier the budget is the sphere |beta1|^2 ||F||_F^2 = p_tot and that
-ascent is the whole solve; the alternation runs only with a cubic term.
+The paper's three blocks are kept but are not on the design path: the
+Riemannian conjugate-gradient ascent of the penalized objective on the
+fixed-Frobenius-norm sphere implied by the current moments
+(``manifold_cg``), the closed-form constrained update of the quartic moment
+(trace pinned by the power budget) and the hyperplane projection update of
+the sextic moment. ``first_mo_trace`` runs the first of them for the
+convergence figure, and tests check the moment updates against oracles.
 
 The budget reads the moments only through their traces, so they are kept as
 their diagonals (real length-n_tx vectors). This is a restriction, not a
 different method: each diagonal entry of the two closed-form updates over
 full Hermitian moment matrices depends only on diagonal inputs, so the
-vector updates are exactly those diagonals, and the off-diagonal residuals
-vanish at every fixed point of the alternation.
+vector updates are exactly those diagonals.
 """
 
 from __future__ import annotations
@@ -69,27 +67,26 @@ class PrecoderState:
     moment6: np.ndarray
 
 
-@dataclass(frozen=True)
-class OuterRecord:
-    penalized_objective: float
-    moment_residual_m4: float
-    moment_residual_m6: float
-
-
 @dataclass
 class SolveDiagnostics:
-    records: list[OuterRecord] = field(default_factory=list)
+    """Objective trace of each exact-budget ascent of a design, and whether the last one met ``outer_tol``."""
+
     inner_traces: list[np.ndarray] = field(default_factory=list)
-    rescues: int = 0
-    growth_rounds: int = 0
     converged: bool = False
     final_power_residual: float = 0.0
+    # No outer rounds, rescues or penalty growth run; bench/tracer.py still reads these three.
+    records: list = field(default_factory=list)
+    rescues: int = 0
+    growth_rounds: int = 0
 
 
 def tangent_project(M: np.ndarray, F: np.ndarray, norm_sq: float | None = None) -> np.ndarray:
-    """Project M onto the tangent space of the norm sphere at F.
+    """Project M onto the orthogonal complement of F (real inner product).
 
-    ``norm_sq`` is ``||F||_F^2`` when the caller already has it.
+    With F a point of a norm sphere this is the tangent space of the sphere
+    at F; with F the normal of a level set (``budget_normal``) it is the
+    tangent space of that level set. ``norm_sq`` is ``||F||_F^2`` when the
+    caller already has it.
     """
     if norm_sq is None:
         norm_sq = float(np.vdot(F, F).real)
@@ -149,6 +146,7 @@ def _ascend(
     point: np.ndarray,
     objective: Callable[[np.ndarray], tuple[np.ndarray, Terms]],
     gradient: Callable[[np.ndarray, Terms], np.ndarray],
+    normal: Callable[[np.ndarray], np.ndarray],
     retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
     options: SolverOptions,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -157,14 +155,15 @@ def _ascend(
     ``objective(Xs)`` evaluates a (B, ...) stack of points in one call and
     returns their values and their ``Terms``; ``gradient(X, terms)`` is the
     Euclidean gradient of the objective at ``X`` from X's terms, so the
-    accepted trial's terms are reused rather than recomputed. The gradient
-    and the previous direction are projected onto the tangent space of the
-    sphere through ``X``. ``retract(X, steps)`` maps ``X + step`` back onto
-    the feasible set for each step of a stack; both the sphere retraction
-    and the power-matching rescale undo radial moves, so the radial
-    projection fits either. Trial steps are evaluated a few at a time as a
-    stack (``_armijo_search``), and the first one in sequence order that
-    passes wins, so the steps taken are those of a one-by-one search.
+    accepted trial's terms are reused rather than recomputed. ``normal(X)``
+    is the normal at ``X`` of the feasible set's level set through it (``X``
+    itself for a norm sphere), and the gradient and the previous direction
+    are projected onto its orthogonal complement, the tangent space of that
+    level set. ``retract(X, steps)`` maps ``X + step`` back onto the
+    feasible set for each step of a stack. Trial steps are evaluated a few
+    at a time as a stack (``_armijo_search``), and the first one in sequence
+    order that passes wins, so the steps taken are those of a one-by-one
+    search.
     Returns the final point and the objective trace (length 1 + number of
     accepted steps, non-decreasing by the Armijo acceptance rule).
     """
@@ -181,8 +180,9 @@ def _ascend(
     stall_window = 10
 
     for _ in range(options.max_mo_iters):
-        point_sq = float(np.vdot(point, point).real)
-        grad = tangent_project(gradient(point, terms), point, point_sq)
+        normal_at = normal(point)
+        normal_sq = float(np.vdot(normal_at, normal_at).real)
+        grad = tangent_project(gradient(point, terms), normal_at, normal_sq)
         grad_sq = float(np.vdot(grad, grad).real)
         grad_norm = np.sqrt(grad_sq)
         if grad_norm <= grad_tol:
@@ -194,7 +194,7 @@ def _ascend(
             since_restart = 0
         else:
             fr_coeff = grad_sq / prev_grad_sq
-            direction = grad + fr_coeff * tangent_project(direction, point, point_sq)
+            direction = grad + fr_coeff * tangent_project(direction, normal_at, normal_sq)
             if float(np.vdot(direction, grad).real) <= 0.0:
                 fr_coeff = 0.0
                 direction = grad
@@ -254,9 +254,29 @@ def manifold_cg(
         retract(F_init, np.zeros_like(F_init), c1),
         lambda Fs: penalized_objective(Fs, penalty, channels, config, link=link, with_terms=True),
         lambda F, terms: euclidean_gradient(F, penalty, channels, config, terms=terms),
+        lambda F: F,
         lambda F, steps: retract(F, steps, c1),
         options,
     )
+
+
+def budget_normal(X: np.ndarray, F_A: np.ndarray | None, config: SystemConfig) -> np.ndarray:
+    """Normal at X of the power budget's level set through ``F_A @ X``, up to a positive scale.
+
+    The budget P(F) = a ||F||^2 + b sum sigma^4 + c sum sigma^6 has the
+    Wirtinger gradient D F with D = diag(a + 2b sigma^2 + 3c sigma^4), so the
+    rows of X are scaled by D / a. ``F_A = None`` means the precoder is X
+    itself. Otherwise the normal is pulled back to F_A^H D F_A X; for a
+    partially connected F_A that matrix is diagonal, with each chain's sum
+    of D over its subarray, so each row of X is scaled by its subarray's
+    mean. With b = c = 0 every scale is exactly 1 and X comes back bit for bit.
+    """
+    a, b, c = budget_coefficients(config.beta1, config.beta3)
+    sig2 = _row_powers(X if F_A is None else F_A @ X)
+    scale = 1.0 + (2.0 * b / a) * sig2 + (3.0 * c / a) * sig2**2
+    if F_A is not None:
+        scale = scale.reshape(X.shape[0], -1).mean(axis=1)
+    return scale[:, None] * X
 
 
 def _budget_ascent(
@@ -270,9 +290,11 @@ def _budget_ascent(
 
     ``F_A = None`` means the precoder is X itself. The retraction rescales
     each trial onto the output-power budget of ``config`` (the whole stack
-    of a search in one ``power_match_scale`` call), and the gradient is the
-    pulled-back ``F_A^H grad``. Returns the final X and the objective trace
-    (see ``_ascend``); the first entry is the objective of power-matched X.
+    of a search in one ``power_match_scale`` call), the gradient is the
+    pulled-back ``F_A^H grad``, and the ascent projects onto the tangent
+    space of the budget's level set (``budget_normal``). Returns the final
+    X and the objective trace (see ``_ascend``); the first entry is the
+    objective of power-matched X.
     """
     lift = (lambda Xs: Xs) if F_A is None else (lambda Xs: F_A @ Xs)
     link = Link.of(channels, config)
@@ -289,7 +311,8 @@ def _budget_ascent(
         egrad = gradients.euclidean_gradient(lift(X), NO_PENALTY, channels, config, terms=terms)
         return egrad if F_A is None else F_A.conj().T @ egrad
 
-    return _ascend(fit(X, np.zeros((1, *X.shape)))[0], objective, gradient, fit, options)
+    start = fit(X, np.zeros((1, *X.shape)))[0]
+    return _ascend(start, objective, gradient, lambda X: budget_normal(X, F_A, config), fit, options)
 
 
 def update_quartic_moment(
@@ -338,13 +361,6 @@ def _mrt_direction(channels: ChannelRealization) -> np.ndarray:
     return (H / norms[:, None]).T.copy()
 
 
-def _moment_residuals(F: np.ndarray, m4: np.ndarray, m6: np.ndarray) -> tuple[float, float]:
-    m4_t, m6_t = moment_targets(F)
-    r4 = float(np.linalg.norm(m4 - m4_t) / max(np.linalg.norm(m4_t), 1e-300))
-    r6 = float(np.linalg.norm(m6 - m6_t) / max(np.linalg.norm(m6_t), 1e-300))
-    return r4, r6
-
-
 def _initial_point(
     F: np.ndarray, config: SystemConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
@@ -370,22 +386,26 @@ def _budget_start(
     config: SystemConfig,
     options: SolverOptions,
     f_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, SolveDiagnostics]:
     """Precoder from ascending the weighted objective on the exact power budget.
 
     Starts at ``f_init``, or at the matched-filter columns when it is None,
     and repeats one ``_budget_ascent`` run (each restarts the conjugate
     directions) until a run gains less than ``outer_tol`` relative, for at
     most ``max_outer_iters`` runs. Returns the point, which is on the budget
-    {F : P(F) = p_tot}, and whether a run met ``outer_tol`` (false when the
-    runs were spent first).
+    {F : P(F) = p_tot}, and diagnostics holding each run's objective trace
+    and whether a run met ``outer_tol`` (false when the runs were spent
+    first).
     """
     F = _mrt_direction(channels) if f_init is None else np.asarray(f_init, dtype=complex)
+    diag = SolveDiagnostics()
     for _ in range(options.max_outer_iters):
         F, trace = _budget_ascent(None, F, channels, config, options)
+        diag.inner_traces.append(trace)
         if trace[-1] - trace[0] < options.outer_tol * max(abs(trace[-1]), 1e-12):
-            return F, True
-    return F, False
+            diag.converged = True
+            break
+    return F, diag
 
 
 def first_mo_trace(
@@ -393,14 +413,14 @@ def first_mo_trace(
     config: SystemConfig,
     options: SolverOptions | None = None,
 ) -> np.ndarray:
-    """Objective trace of a first conjugate-gradient run of the alternation from the matched filter.
+    """Objective trace of a first conjugate-gradient run of the paper's alternation from the matched filter.
 
     Starts at power-matched matched-filter columns with the moments at
-    their exact values (not at the exact-budget ascent ``optimize_full_digital``
-    starts from, see ``_budget_start``) and records the penalized objective
-    per accepted inner step. At this starting point the penalty terms are
-    zero, so the first entry equals the weighted rate objective of the
-    initializer.
+    their exact values, runs ``manifold_cg`` on the sphere they imply (not
+    the exact-budget ascent of ``optimize_full_digital``) and records the
+    penalized objective per accepted inner step. At this starting point the
+    penalty terms are zero, so the first entry equals the weighted rate
+    objective of the initializer.
     """
     options = options or config.solver
     F, m4, m6, lam1, lam2 = _initial_point(_mrt_direction(channels), config)
@@ -416,105 +436,20 @@ def optimize_full_digital(
 ) -> tuple[PrecoderState, SolveDiagnostics]:
     """Design the full-digital precoder on the exact power budget.
 
-    Every solve first ascends the weighted objective on the exact budget
-    {F : P(F) = p_tot} (``_budget_start``), from ``f_init`` or, when it is
-    None, from the matched-filter columns. With a linear amplifier that
-    budget is the sphere |beta1|^2 ||F||_F^2 = p_tot, so the ascent's point
-    is the solution, the diagnostics hold no outer rounds, and ``converged``
-    says whether its last run gained less than ``outer_tol`` relative
-    (false when ``max_outer_iters`` runs were spent first). With a cubic
-    term the budget depends on the moments, and the three-block alternation
-    (``_alternate``) continues from that point and sets ``converged``. The
-    returned moments are the exact ones of the returned precoder.
+    Ascends the weighted objective on the budget {F : P(F) = p_tot}
+    (``_budget_start``), from ``f_init`` or, when it is None, from the
+    matched-filter columns, with one path for every amplifier: the ascent
+    projects onto the tangent space of the budget's level set, so with a
+    cubic term no moment alternation is needed. ``converged`` says whether
+    the last ascent gained less than ``outer_tol`` relative (false when
+    ``max_outer_iters`` ascents were spent first), and ``inner_traces``
+    holds every ascent's objective trace. The returned moments are the
+    exact ones of the returned precoder.
     """
     options = options or config.solver
-    F, converged = _budget_start(channels, config, options, f_init)
-    diag = SolveDiagnostics(converged=converged)
-    if budget_coefficients(config.beta1, config.beta3)[2] != 0.0:
-        F = _alternate(F, channels, config, options, diag)
+    F, diag = _budget_start(channels, config, options, f_init)
     m4, m6 = moment_targets(F)
     diag.final_power_residual = (
         abs(radiated_power(F, config.beta1, config.beta3)[0] - config.p_tot) / config.p_tot
     )
     return PrecoderState(full_digital=F, moment4=m4, moment6=m6), diag
-
-
-def _alternate(
-    F: np.ndarray,
-    channels: ChannelRealization,
-    config: SystemConfig,
-    options: SolverOptions,
-    diag: SolveDiagnostics,
-) -> np.ndarray:
-    """Three-block alternation from F with a cubic amplifier term.
-
-    The moments start at their exact values. If the moment residuals exceed
-    tolerance at convergence, the penalty magnitudes grow and the
-    alternation continues. Records its rounds, rescues and growth rounds in
-    ``diag`` and sets ``diag.converged``: true only when the last stage
-    stalled below ``outer_tol`` with the moment residuals within
-    ``moment_residual_tol``, false when the solve ends on its round or
-    growth budget. Returns the final precoder rescaled onto the exact budget.
-    """
-    hold_m4 = budget_coefficients(config.beta1, config.beta3)[1] == 0.0
-    F, m4, m6, lam1, lam2 = _initial_point(F, config)
-    prev_obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
-
-    while True:
-        stalled = False
-        # Growth stages only re-tighten the moments around an already good
-        # precoder, so they get a reduced round budget.
-        stage_budget = (
-            options.max_outer_iters
-            if diag.growth_rounds == 0
-            else max(10, options.max_outer_iters // 5)
-        )
-        for _ in range(stage_budget):
-            try:
-                F_new, trace = manifold_cg(F, m4, m6, channels, config, options, lam1, lam2)
-            except InfeasibleMomentBudget:
-                diag.rescues += 1
-                if diag.rescues > options.max_rescues:
-                    raise InfeasibleMomentBudget(
-                        "moments repeatedly exhausted the power budget "
-                        f"after {options.max_rescues} rescale attempts"
-                    )
-                F = 0.9 * F
-                m4, m6 = moment_targets(F)
-                prev_obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
-                continue
-            F = F_new
-            diag.inner_traces.append(trace)
-
-            # Feasibility restoration before re-deriving the moments: without
-            # it the power mismatch of the drifted precoder lodges in the
-            # quartic-moment trace and the alternation stalls there.
-            F = scale_to_power(F, config.p_tot, config.beta1, config.beta3)
-            if hold_m4:
-                m4 = moment_targets(F)[0]
-            else:
-                m4, _ = update_quartic_moment(F, m6, config, lam1, lam2)
-            m6 = update_sextic_moment(F, m4, config)
-
-            obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
-            diag.records.append(OuterRecord(obj, *_moment_residuals(F, m4, m6)))
-            rel = abs(obj - prev_obj) / max(abs(prev_obj), 1e-12)
-            prev_obj = obj
-            if rel < options.outer_tol:
-                stalled = True
-                break
-
-        r4, r6 = _moment_residuals(F, m4, m6)
-        settled = r4 <= options.moment_residual_tol and r6 <= options.moment_residual_tol
-        if settled or diag.growth_rounds >= options.max_growth_rounds:
-            diag.converged = stalled and settled
-            break
-        lam1 *= options.penalty_growth
-        lam2 *= options.penalty_growth
-        diag.growth_rounds += 1
-        prev_obj = penalized_objective(F, moment_penalty(m4, m6, lam1, lam2), channels, config)
-
-    # Feasibility restoration: the penalty equilibrium leaves a small bias in
-    # the true output power, so return a precoder rescaled onto the exact
-    # budget (the caller re-derives the exact moments).
-    return scale_to_power(F, config.p_tot, config.beta1, config.beta3)

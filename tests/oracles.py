@@ -417,17 +417,22 @@ def ascend(
     retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
     options: SolverOptions,
     events: dict | None = None,
+    normal: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fletcher-Reeves/Armijo ascent that tries one trial step per objective call.
 
     The same rules as ``dabf.solver._ascend`` on single points:
     ``objective(X)`` is a float, ``gradient(X)`` the Euclidean gradient and
-    ``retract(X, step)`` one retracted point. ``events``, if given, counts
-    ``"deep"`` searches (more than 4 backtracks before acceptance) and
-    ``"retry"`` momentum searches that failed and were redone along the
-    gradient.
+    ``retract(X, step)`` one retracted point. The gradient and the previous
+    direction are projected onto the orthogonal complement of
+    ``normal(X)``, which defaults to X itself (the tangent space of a norm
+    sphere). ``events``, if given, counts ``"deep"`` searches (more than 4
+    backtracks before acceptance), ``"retry"`` momentum searches that
+    failed and were redone along the gradient, and ``"failed"`` searches
+    that found no step, which end the ascent.
     """
     events = {} if events is None else events
+    normal = (lambda X: X) if normal is None else normal
     grad_tol = options.mo_grad_tol(*point.shape)
     restart_period = point.size
     obj = objective(point)
@@ -440,7 +445,7 @@ def ascend(
     stall_window = 10
 
     for _ in range(options.max_mo_iters):
-        grad = tangent_project(gradient(point), point)
+        grad = tangent_project(gradient(point), normal(point))
         grad_sq = float(np.real(np.vdot(grad, grad)))
         grad_norm = np.sqrt(grad_sq)
         if grad_norm <= grad_tol:
@@ -452,7 +457,7 @@ def ascend(
             since_restart = 0
         else:
             fr_coeff = grad_sq / prev_grad_sq
-            direction = grad + fr_coeff * tangent_project(direction, point)
+            direction = grad + fr_coeff * tangent_project(direction, normal(point))
             if float(np.real(np.vdot(direction, grad))) <= 0.0:
                 fr_coeff = 0.0
                 direction = grad
@@ -479,6 +484,7 @@ def ascend(
             since_restart = 0
             step = cap
         if not accepted:
+            events["failed"] = events.get("failed", 0) + 1
             break
 
         point = candidate

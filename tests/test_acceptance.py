@@ -196,9 +196,11 @@ def test_criterion_4_solver_feasibility_and_monotonicity():
     worst_dip = 0.0
     worst_manifold = 0.0
     worst_power = 0.0
+    trace_counts = []
     for seed in range(50):
         ch = dabf.draw_channels(cfg, np.random.default_rng(9000 + seed))
         state, diag = optimize_full_digital(ch, cfg)
+        trace_counts.append(len(diag.inner_traces))
         for trace in diag.inner_traces:
             if len(trace) > 1:
                 worst_dip = max(worst_dip, float(np.max(-np.diff(trace))))
@@ -207,10 +209,11 @@ def test_criterion_4_solver_feasibility_and_monotonicity():
         worst_manifold = max(worst_manifold, abs(float(np.real(np.vdot(F, F))) - c1) / c1)
         power = radiated_power(F, cfg.beta1, cfg.beta3)[0]
         worst_power = max(worst_power, abs(power - p) / p)
-    ok = worst_dip <= 0.0 and worst_manifold < 1e-10 and worst_power < 1e-2
+    ok = min(trace_counts) >= 1 and worst_dip <= 0.0 and worst_manifold < 1e-10 and worst_power < 1e-2
     report(
         "criterion 4 (50 seeded solves: monotone inner traces, manifold, power)",
         ok,
+        f"fewest inner traces per solve {min(trace_counts)} (>=1), "
         f"worst inner-trace dip {worst_dip:.2e} (<=0), manifold residual {worst_manifold:.2e} "
         f"(<1e-10), power residual {worst_power:.2e} (<1e-2)",
     )

@@ -17,7 +17,7 @@ from dabf.decomposition import decompose, refine_digital
 from dabf.distortion import power_match_scale
 from dabf.gradients import NO_PENALTY, Link, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from dabf.metrics import weighted_objective
-from dabf.solver import _initial_point, _mrt_direction, manifold_cg, retract, sphere_radius_sq
+from dabf.solver import _initial_point, _mrt_direction, budget_normal, manifold_cg, retract, sphere_radius_sq
 
 # Default options, a first trial step so large that whole chunks of trials
 # are rejected, a steep slope that also makes momentum searches fail and
@@ -26,7 +26,7 @@ from dabf.solver import _initial_point, _mrt_direction, manifold_cg, retract, sp
 ASCENT_OPTIONS = {
     "default": {},
     "deep": {"armijo_init_step": 1e4},
-    "retry": {"armijo_slope": 0.5},
+    "retry": {"armijo_slope": 0.9},
     "short": {"armijo_max_backtracks": 5},
 }
 
@@ -88,6 +88,7 @@ def test_power_matched_ascent_equals_sequential_oracle(name):
         fit,
         cfg.solver,
         events,
+        lambda X: budget_normal(X, F_A, cfg),
     )
     assert_events(name, events)
     assert len(ref_trace) > 1

@@ -55,6 +55,10 @@ def test_unknown_keys_rejected(tmp_path):
     path = write(tmp_path, "experiment: sweep_snr\nturbo: true\n")
     with pytest.raises(ConfigError, match="turbo"):
         parse_config(path)
+    # An option of the removed moment alternation is unknown, not silently ignored.
+    path = write(tmp_path, "experiment: sweep_snr\nsolver:\n  penalty_growth: 5\n")
+    with pytest.raises(ConfigError, match="penalty_growth"):
+        parse_config(path)
 
 
 def test_kind_mismatch_rejected(tmp_path):

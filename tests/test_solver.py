@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from dabf.channel import draw_channels
 from dabf.config import SolverOptions, SystemConfig
-from dabf.distortion import radiated_power, scale_to_power
-from dabf.gradients import moment_targets
+from dabf.distortion import power_match_scale, radiated_power, scale_to_power
+from dabf.gradients import NO_PENALTY, euclidean_gradient, moment_targets
 from dabf.metrics import weighted_objective
 from dabf.solver import (
     DegeneratePA,
@@ -14,6 +14,7 @@ from dabf.solver import (
     _budget_ascent,
     _budget_start,
     _mrt_direction,
+    budget_normal,
     first_mo_trace,
     manifold_cg,
     optimize_full_digital,
@@ -298,8 +299,6 @@ def test_inner_final_gradient_small_when_converged():
     F0 = mrt_precoder(ch, cfg)
     m4, m6 = moment_targets(F0)
     opts = SolverOptions(max_mo_iters=3000, outer_tol=1e-300)  # disable the stall stop
-    from dabf.gradients import NO_PENALTY, euclidean_gradient
-
     F, _ = manifold_cg(F0, m4, m6, ch, cfg, opts, 0.0, 0.0)
     grad = tangent_project(euclidean_gradient(F, NO_PENALTY, ch, cfg), F)
     assert np.linalg.norm(grad) <= opts.mo_grad_tol(cfg.n_tx, cfg.n_users)
@@ -326,27 +325,6 @@ def test_solve_power_residual_small():
     power = radiated_power(state.full_digital, cfg.beta1, cfg.beta3)[0]
     assert abs(power - cfg.p_tot) / cfg.p_tot < 1e-2
     assert diag.final_power_residual < 1e-10
-
-
-def test_solve_records_monotone_without_growth():
-    cfg = convergence_scale_config()
-    ch = draw_channels(cfg, np.random.default_rng(201))
-    opts = SolverOptions(max_growth_rounds=0, max_outer_iters=20)
-    _, diag = optimize_full_digital(ch, cfg, opts)
-    objs = [r.penalized_objective for r in diag.records]
-    assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
-
-
-def test_converged_implies_moment_residuals_within_tolerance():
-    # A stage that stalls on outer_tol with no growth budget left to tighten
-    # the moments has not converged.
-    cfg = convergence_scale_config()
-    ch = draw_channels(cfg, np.random.default_rng(201))
-    opts = SolverOptions(max_growth_rounds=0, moment_residual_tol=1e-12, outer_tol=1e-2)
-    _, diag = optimize_full_digital(ch, cfg, opts)
-    last = diag.records[-1]
-    if diag.converged:
-        assert max(last.moment_residual_m4, last.moment_residual_m6) <= opts.moment_residual_tol
 
 
 def test_solve_objective_invariant_to_initial_phase():
@@ -395,8 +373,8 @@ def test_solve_aligned_single_user_is_collinear_with_channel():
 
 
 def test_solve_holds_moments_when_quartic_degenerate():
-    # Re(beta1* beta3) = 0 with beta3 != 0: quartic update is skipped but the
-    # solve still completes with the exact power budget.
+    # Re(beta1* beta3) = 0 with beta3 != 0: the budget has no quartic term, and
+    # the solve still meets it exactly.
     cfg = config_for(8, 2, beta1=1.0 + 0.0j, beta3=0.05j, p_tot=6.0)
     ch = draw_channels(cfg, np.random.default_rng(400))
     state, diag = optimize_full_digital(ch, cfg)
@@ -416,29 +394,7 @@ def test_manifold_cg_rejects_exhausted_budget():
         manifold_cg(F, huge, huge, ch, cfg, cfg.solver, -1.0, -1.0)
 
 
-def test_solve_rescues_after_budget_exhaustion(monkeypatch):
-    # First inner call fails feasibility; the solver shrinks the precoder,
-    # resets the moments, and completes.
-    import dabf.solver as solver_mod
-
-    cfg = config_for(8, 2, p_tot=6.0)
-    ch = draw_channels(cfg, np.random.default_rng(510))
-    real_cg = solver_mod.manifold_cg
-    calls = {"n": 0}
-
-    def flaky_cg(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise InfeasibleMomentBudget("injected")
-        return real_cg(*args, **kwargs)
-
-    monkeypatch.setattr(solver_mod, "manifold_cg", flaky_cg)
-    state, diag = optimize_full_digital(ch, cfg)
-    assert diag.rescues == 1
-    assert diag.final_power_residual < 1e-10
-
-
-# ------------------------------------------------------------------ warm start
+# --------------------------------------------------------- exact-budget ascent
 
 
 def power_matched_mrt(ch, cfg):
@@ -455,26 +411,48 @@ def test_budget_start_is_feasible_and_beats_matched_filter(seed):
     assert weighted_objective(F, ch, cfg) >= weighted_objective(power_matched_mrt(ch, cfg), ch, cfg)
 
 
-def test_solve_calls_manifold_cg_once_per_round_or_rescue(monkeypatch):
-    # The warm start runs its own ascent; every manifold_cg call is an outer
-    # round or a rescue of the alternation.
-    import dabf.solver as solver_mod
+@pytest.mark.parametrize("hybrid", [False, True])
+@pytest.mark.parametrize("beta3", [0j, BETA3])
+def test_budget_normal_is_radiated_power_gradient(beta3, hybrid):
+    # Up to a positive scale, the conjugate Wirtinger gradient of the radiated
+    # power, also pulled back through a partially connected analog matrix.
+    cfg = config_for(8, 2, beta3=beta3)
+    phases = np.random.default_rng(640).uniform(-np.pi, np.pi, 8)
+    F_A = oracles.analog_from_phases(phases, 8, 2) if hybrid else None
+    X = random_complex((2 if hybrid else 8, 2), 641)
+    lift = (lambda Y: Y) if F_A is None else (lambda Y: F_A @ Y)
+    grad = oracles.fd_wirtinger_grad(lambda Y: radiated_power(lift(Y), cfg.beta1, cfg.beta3)[0], X)
+    normal = budget_normal(X, F_A, cfg)
+    scale = np.vdot(normal, grad).real / np.vdot(normal, normal).real
+    assert scale > 0
+    assert np.linalg.norm(grad - scale * normal) <= 1e-7 * np.linalg.norm(grad)
+    if beta3 == 0:
+        assert np.array_equal(normal, X)
 
+
+def test_level_set_ascent_gains_where_sphere_projection_stops():
+    # Projected onto the sphere's tangent space (the oracle's default normal)
+    # in place of the budget's, the ascent ends on a failed line search short
+    # of a stationary point; one exact-budget ascent goes on from there.
     cfg = convergence_scale_config()
-    ch = draw_channels(cfg, np.random.default_rng(610))
-    real_cg = solver_mod.manifold_cg
-    calls = {"n": 0}
+    ch = draw_channels(cfg, np.random.default_rng(1))
 
-    def counted_cg(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise InfeasibleMomentBudget("injected")
-        return real_cg(*args, **kwargs)
+    def fit(X, step):
+        moved = X + step
+        return moved * power_match_scale(moved, cfg.p_tot, cfg.beta1, cfg.beta3)
 
-    monkeypatch.setattr(solver_mod, "manifold_cg", counted_cg)
-    _, diag = optimize_full_digital(ch, cfg)
-    assert diag.rescues == 1
-    assert calls["n"] == len(diag.records) + diag.rescues
+    events = {}
+    F, _ = oracles.ascend(
+        fit(_mrt_direction(ch), 0.0),
+        lambda X: weighted_objective(X, ch, cfg),
+        lambda X: euclidean_gradient(X, NO_PENALTY, ch, cfg),
+        fit,
+        cfg.solver,
+        events,
+    )
+    assert events.get("failed") == 1
+    _, trace = _budget_ascent(None, F, ch, cfg, cfg.solver)
+    assert trace[-1] - trace[0] > cfg.solver.outer_tol * abs(trace[-1])
 
 
 def test_first_mo_trace_starts_at_power_matched_matched_filter():
@@ -486,20 +464,19 @@ def test_first_mo_trace_starts_at_power_matched_matched_filter():
     assert abs(trace[0] - start) <= 1e-12 * start
 
 
-# ------------------------------------------------------------------ linear PA
+# ------------------------------------------------------------ one design path
 
 
-def linear_desk_instance(seed):
-    cfg = convergence_scale_config().with_updates(beta3=0j)
+def desk_instance(seed, beta3):
+    cfg = convergence_scale_config().with_updates(beta3=beta3)
     return cfg, draw_channels(cfg, np.random.default_rng(seed))
 
 
 def test_linear_solve_runs_no_alternation(monkeypatch):
-    # With a linear amplifier the budget is the sphere |beta1|^2 ||F||^2 = p_tot,
-    # so the exact-budget ascent is the whole solve.
+    # The exact-budget ascent is the whole solve, for a linear amplifier (whose
+    # budget is the sphere |beta1|^2 ||F||^2 = p_tot) and a cubic one alike.
     import dabf.solver as solver_mod
 
-    cfg, ch = linear_desk_instance(630)
     calls = {"n": 0}
     real_cg = solver_mod.manifold_cg
 
@@ -508,29 +485,36 @@ def test_linear_solve_runs_no_alternation(monkeypatch):
         return real_cg(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "manifold_cg", counted_cg)
-    optimize_full_digital(ch, cfg)
+    for beta3 in (0j, BETA3):
+        cfg, ch = desk_instance(630, beta3)
+        _, diag = optimize_full_digital(ch, cfg)
+        assert diag.records == [] and diag.rescues == 0 and diag.growth_rounds == 0
     assert calls["n"] == 0
 
 
 @pytest.mark.parametrize("given", [False, True])
 def test_linear_solve_returns_budget_start_point(given):
-    cfg, ch = linear_desk_instance(631)
+    cfg, ch = desk_instance(631, 0j)
     f_init = random_complex((cfg.n_tx, cfg.n_users), 632) if given else None
-    F, converged = _budget_start(ch, cfg, cfg.solver, f_init)
+    F, start = _budget_start(ch, cfg, cfg.solver, f_init)
     state, diag = optimize_full_digital(ch, cfg, f_init=f_init)
     assert np.array_equal(state.full_digital, F)
-    assert diag.converged == converged
-    assert diag.records == [] and diag.inner_traces == []
+    assert diag.converged == start.converged
+    # Every ascent's trace is kept, so criterion 4's dip check reads them all.
+    assert diag.records == [] and len(diag.inner_traces) == len(start.inner_traces) >= 1
+    assert all(np.array_equal(a, b) for a, b in zip(diag.inner_traces, start.inner_traces))
     m4, m6 = moment_targets(F)
     assert np.array_equal(state.moment4, m4) and np.array_equal(state.moment6, m6)
     assert diag.final_power_residual < 1e-12
 
 
 def test_linear_solve_out_of_runs_is_not_converged():
-    # One exact-budget run from the matched filter still gains far more than outer_tol.
-    cfg, ch = linear_desk_instance(633)
+    # One exact-budget run from the matched filter still gains far more than
+    # outer_tol, for a linear and a cubic amplifier.
     opts = SolverOptions(max_outer_iters=1)
-    _, trace = _budget_ascent(None, _mrt_direction(ch), ch, cfg, opts)
-    assert trace[-1] - trace[0] >= opts.outer_tol * abs(trace[-1])
-    assert optimize_full_digital(ch, cfg, opts)[1].converged is False
-    assert optimize_full_digital(ch, cfg)[1].converged is True
+    for beta3 in (0j, BETA3):
+        cfg, ch = desk_instance(633, beta3)
+        _, trace = _budget_ascent(None, _mrt_direction(ch), ch, cfg, opts)
+        assert trace[-1] - trace[0] >= opts.outer_tol * abs(trace[-1])
+        assert optimize_full_digital(ch, cfg, opts)[1].converged is False
+        assert optimize_full_digital(ch, cfg)[1].converged is True
