@@ -34,24 +34,25 @@ def noise_from_snr(p_tot_mw: float, snr_db: float) -> float:
 class SolverOptions:
     """Tolerances and iteration limits of the Fletcher-Reeves/Armijo ascent.
 
-    ``max_mo_iters``, ``mo_grad_tol_scale``, the ``armijo_*`` options and the
-    stall threshold ``outer_tol / 10`` govern every ascent that shares the
-    engine: the exact-budget design of a full-digital precoder, the
-    digital-factor refinement of a hybrid and the sphere-constrained
-    ``manifold_cg`` of the convergence figure.
+    ``mo_grad_tol_scale``, the ``armijo_*`` options and ``outer_tol`` govern
+    every ascent that shares the engine: the exact-budget design of a
+    full-digital precoder, the digital-factor refinement of a hybrid and the
+    sphere-constrained ``manifold_cg`` of the convergence figure. An ascent
+    stops on the first of: a projected gradient within ``mo_grad_tol``, a
+    stall (ten steps that gain less than ``outer_tol / 10`` relative), a
+    failed line search, or its step cap. The cap is ``max_design_steps`` for
+    the design and ``max_mo_iters`` for the refinement and ``manifold_cg``.
+    A design that stops on a failed line search or at its cap reports
+    ``converged = False``.
     ``armijo_init_step`` is a dimensionless scale: the first trial step of
     the backtracking search is ``armijo_init_step / ||grad||_F``. The search
     evaluates its ``armijo_max_backtracks`` trial steps a few at a time as
     one stack, the first trial that passes the Armijo test wins, and the
     gradient at the accepted point reuses that trial's probe terms; the
     steps taken are exactly those of a one-by-one search.
-    ``max_outer_iters`` and ``outer_tol`` bound the full-digital design: at
-    most ``max_outer_iters`` exact-budget ascents, stopped once one gains
-    less than ``outer_tol`` relative. A design that spends the ascents
-    first reports ``converged = False``.
     """
 
-    max_outer_iters: int = 50
+    max_design_steps: int = 10_000
     outer_tol: float = 1e-5
     max_mo_iters: int = 200
     mo_grad_tol_scale: float = 1e-6  # multiplied by sqrt(n_tx * n_users)
@@ -62,7 +63,7 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         positive = {
-            "max_outer_iters": self.max_outer_iters,
+            "max_design_steps": self.max_design_steps,
             "outer_tol": self.outer_tol,
             "max_mo_iters": self.max_mo_iters,
             "mo_grad_tol_scale": self.mo_grad_tol_scale,

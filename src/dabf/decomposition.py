@@ -97,15 +97,15 @@ def refine_digital(F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemCon
     """Ascend the weighted rate objective over the digital factor.
 
     One ``_budget_ascent`` of ``F_A @ F_D`` at fixed analog phases, with
-    ``config.solver`` as its options: the solver's Fletcher-Reeves/Armijo
-    engine with the pulled-back gradient ``F_A^H grad`` and, as the
-    retraction, a rescale of each trial onto the exact output-power budget
-    of ``config``. Pass the design-model configuration (e.g. one with the
+    ``config.solver`` as its options and at most its ``max_mo_iters``
+    steps: the solver's Fletcher-Reeves/Armijo engine with the pulled-back
+    gradient ``F_A^H grad`` and, as the retraction, a rescale of each trial
+    onto the exact output-power budget of ``config``. Pass the design-model configuration (e.g. one with the
     cubic coefficient zeroed) to refine a transmitter that believes in that
     model. The returned factor never has a lower design-model objective
     than the power-matched input.
     """
-    return _budget_ascent(F_A, F_D, channels, config, config.solver)[0]
+    return _budget_ascent(F_A, F_D, channels, config, config.solver, config.solver.max_mo_iters)[0]
 
 
 def match_hybrid_power(F_A: np.ndarray, F_D: np.ndarray, config: SystemConfig) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import mrt_precoder, pa_blind_precoder, rbf_precoder, zf_precoder
 from .channel import ChannelRealization, draw_channels, steering_vector
-from .config import ConfigError, SystemConfig
+from .config import ConfigError, SystemConfig, noise_from_snr
 from .decomposition import decompose, match_hybrid_power, refine_digital
 from .metrics import evaluate_metrics, probe_powers
 from .solver import first_mo_trace, optimize_full_digital
@@ -189,7 +189,7 @@ def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
         if spec.kind == "sweep_nonlinearity":
             cfg = base.with_updates(beta3=scaled_cubic_coefficient(base.beta1, base.beta3, value))
         else:  # sweep_snr
-            noise = base.p_tot / 10.0 ** (value / 10.0)
+            noise = noise_from_snr(base.p_tot, value)
             cfg = base.with_updates(noise_user=noise, noise_sense=noise)
         for si, scheme in enumerate(spec.schemes):
             with _failure_context(spec, index, scheme, value):
@@ -288,7 +288,7 @@ def _convergence_one_realization(args: tuple[ExperimentSpec, int]) -> list[np.nd
     channels = draw_channels(base, channels_rng)
     traces = []
     for snr_db in spec.grid:
-        noise = base.p_tot / 10.0 ** (snr_db / 10.0)
+        noise = noise_from_snr(base.p_tot, snr_db)
         cfg = base.with_updates(noise_user=noise, noise_sense=noise)
         with _failure_context(spec, index, "proposed_known", snr_db):
             traces.append(first_mo_trace(channels, cfg))

@@ -55,51 +55,54 @@ class LinkTerms:
 
 @dataclass(frozen=True)
 class Link:
-    """What the probe kernel and the gradient need that does not depend on F.
+    """What the probe kernel and the gradient need that does not depend on F, for ``k`` streams.
 
-    ``probed``/``spread``: real forms of the probe rows r^H, transposed and
-    not; ``pairs``: the stream pairs a <= b of T's rows; ``masks``: weights of
-    the squared kernel rows into each probe's useful, leaked and distortion
-    powers. The gradient weighs rows ``grad_rows`` of the probed kernel (the
-    streams, then every (a,b,c) of T) by ``grad_weights`` over total and rest.
-    ``noise`` and ``coeff`` (objective weights over ln 2) are per probe.
+    ``probes``: the probe rows r^H (probe r < k is user r's, later probes
+    count every stream as useful); ``probed``/``spread``: their real forms,
+    transposed and not; ``pairs``: the stream pairs a <= b of T's rows;
+    ``masks``: weights of the squared kernel rows into each probe's useful,
+    leaked and distortion powers. The gradient weighs rows ``grad_rows`` of
+    the probed kernel (the streams, then every (a,b,c) of T) by
+    ``grad_weights`` over total and rest. ``noise`` and ``coeff`` (objective
+    weights over ln 2) are per probe. Each table is built on first use, so an
+    evaluation without a gradient never builds the gradient's.
     ``scratch`` reuses the kernel's row buffer per stack shape (one caller at a time).
     """
 
-    probed: np.ndarray
-    spread: np.ndarray
+    probes: np.ndarray
+    k: int
     beta1: complex
     beta3: complex
-    pairs: tuple[np.ndarray, np.ndarray]
-    masks: np.ndarray
-    grad_rows: np.ndarray
-    grad_weights: np.ndarray
-    noise: np.ndarray
-    coeff: np.ndarray
+    noise: np.ndarray | float = 0.0
+    coeff: np.ndarray | float = 0.0
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
+
+    probed = functools.cached_property(lambda self: _real_form(self.probes.T))
+    spread = functools.cached_property(lambda self: _real_form(self.probes))
+    pairs = functools.cached_property(lambda self: _layout(self.k, len(self.probes))[0])
+    grad_rows = functools.cached_property(lambda self: _layout(self.k, len(self.probes))[2])
 
     @classmethod
     def of(cls, channels: ChannelRealization, config: SystemConfig) -> Link:
         probes = _probe_rows(channels, config.target_gain)
-        return _link(probes, config.n_users, config.beta1, config.beta3, *_noise_coeff(config))
+        return cls(probes, config.n_users, config.beta1, config.beta3, *_noise_coeff(config))
+
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        d3 = 2.0 * abs(self.beta3) ** 2
+        return _layout(self.k, len(self.probes))[1] * np.array([1.0, 1.0, d3])[:, None, None]
+
+    @functools.cached_property
+    def grad_weights(self) -> np.ndarray:
+        d3 = 2.0 * abs(self.beta3) ** 2
+        unit = _layout(self.k, len(self.probes))[3]
+        return unit * self.coeff * np.where(np.arange(len(self.grad_rows)) < self.k, 1.0, d3)[:, None]
 
 
 def _noise_coeff(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per probe (the users, then the sensing link): the noise power and the objective weight over ln 2."""
     weights = np.append(np.full(config.n_users, config.weight_comm), config.weight_sense)
     return np.append(config.noise_user_array, config.noise_sense), _LOG2E * weights
-
-
-def _link(probes: np.ndarray, k: int, beta1: complex, beta3: complex, noise=0.0, coeff=0.0) -> Link:
-    """The ``Link`` of ``probes`` for k streams: probe r < k is user r's, later probes count every stream as useful."""
-    pairs, masks, grad_rows, grad_weights = _layout(k, len(probes))
-    d3 = 2.0 * abs(beta3) ** 2
-    masks = masks * np.array([1.0, 1.0, d3])[:, None, None]
-    grad_weights = grad_weights * coeff * np.where(np.arange(len(grad_rows)) < k, 1.0, d3)[:, None]
-    return Link(
-        _real_form(probes.T), _real_form(probes), complex(beta1), complex(beta3), pairs, masks, grad_rows,
-        grad_weights, noise, coeff,
-    )
 
 
 @functools.cache
@@ -171,7 +174,7 @@ def probe_powers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-stream received powers |r^H B f_i|^2 (m, K) and distortion powers r^H C_e r (m,)."""
     k = F.shape[-1]
-    _, _, Y, parts = _probe(F, _link(probes, k, beta1, beta3))
+    _, _, Y, parts = _probe(F, Link(probes, k, complex(beta1), complex(beta3)))
     return (Y[..., :k, :] * Y[..., :k, :].conj()).real.swapaxes(-1, -2), parts[..., 2, :]
 
 
@@ -183,7 +186,8 @@ def link_terms(
     target_gain: complex,
 ) -> LinkTerms:
     """Evaluate the powers behind SINDR and sensing SNDR for F."""
-    return LinkTerms(_probe(F, _link(_probe_rows(channels, target_gain), F.shape[-1], beta1, beta3))[3])
+    link = Link(_probe_rows(channels, target_gain), F.shape[-1], complex(beta1), complex(beta3))
+    return LinkTerms(_probe(F, link)[3])
 
 
 def weighted_objective(F: np.ndarray, channels: ChannelRealization, config: SystemConfig) -> float:

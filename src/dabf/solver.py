@@ -1,12 +1,14 @@
 """Full-digital precoder design on the exact power budget.
 
-The design (``optimize_full_digital``) ascends the weighted objective on
-the budget's level set {F : P(F) = p_tot}, with one path for every
-amplifier: ``_budget_start`` repeats the conjugate-gradient engine of the
-hybrid refinement (``_budget_ascent``) on the precoder itself. The gradient
-and the previous direction are projected onto the tangent space of that
-level set, whose normal is ``budget_normal``, and each trial is rescaled
-back onto the budget.
+The design (``optimize_full_digital``) is one ascent of the weighted
+objective on the budget's level set {F : P(F) = p_tot}, with one path for
+every amplifier: the conjugate-gradient engine of the hybrid refinement
+(``_budget_ascent``) run on the precoder itself until its own stop test. The
+gradient and the previous direction are projected onto the tangent space of
+that level set, whose normal is ``budget_normal``, and each trial is
+rescaled back onto the budget. Every ascent reports why it stopped (see
+``_ascend``), and the design has converged when its ascent stopped on the
+gradient tolerance or the stall test.
 
 The paper's three blocks are kept but are not on the design path: the
 Riemannian conjugate-gradient ascent of the penalized objective on the
@@ -69,15 +71,24 @@ class PrecoderState:
 
 @dataclass
 class SolveDiagnostics:
-    """Objective trace of each exact-budget ascent of a design, and whether the last one met ``outer_tol``."""
+    """The design's one exact-budget ascent: its objective trace and why it stopped (a reason of ``_ascend``).
 
-    inner_traces: list[np.ndarray] = field(default_factory=list)
-    converged: bool = False
+    ``converged`` is true when the ascent stopped on its gradient tolerance
+    or its stall test, and false when a line search failed or the ascent
+    reached ``max_design_steps``.
+    """
+
+    trace: np.ndarray
+    stop: str
     final_power_residual: float = 0.0
     # No outer rounds, rescues or penalty growth run; bench/tracer.py still reads these three.
     records: list = field(default_factory=list)
     rescues: int = 0
     growth_rounds: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("gradient", "stall")
 
 
 def tangent_project(M: np.ndarray, F: np.ndarray, norm_sq: float | None = None) -> np.ndarray:
@@ -149,8 +160,9 @@ def _ascend(
     normal: Callable[[np.ndarray], np.ndarray],
     retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
     options: SolverOptions,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fletcher-Reeves conjugate-gradient ascent with Armijo backtracking.
+    max_steps: int,
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Fletcher-Reeves conjugate-gradient ascent with Armijo backtracking, for at most ``max_steps`` steps.
 
     ``objective(Xs)`` evaluates a (B, ...) stack of points in one call and
     returns their values and their ``Terms``; ``gradient(X, terms)`` is the
@@ -163,9 +175,14 @@ def _ascend(
     feasible set for each step of a stack. Trial steps are evaluated a few
     at a time as a stack (``_armijo_search``), and the first one in sequence
     order that passes wins, so the steps taken are those of a one-by-one
-    search.
-    Returns the final point and the objective trace (length 1 + number of
-    accepted steps, non-decreasing by the Armijo acceptance rule).
+    search. The conjugate directions restart along the gradient every
+    ``point.size`` steps.
+    Returns the final point, the objective trace (length 1 + number of
+    accepted steps, non-decreasing by the Armijo acceptance rule) and why
+    the ascent stopped: ``"gradient"`` (the projected gradient is within
+    ``options.mo_grad_tol``), ``"stall"`` (the last ten steps gained less
+    than ``outer_tol / 10`` relative), ``"line search"`` (no trial step
+    passed, also along the gradient) or ``"cap"`` (``max_steps`` steps).
     """
     grad_tol = options.mo_grad_tol(*point.shape)
     restart_period = point.size
@@ -179,14 +196,14 @@ def _ascend(
     since_restart = 0
     stall_window = 10
 
-    for _ in range(options.max_mo_iters):
+    for _ in range(max_steps):
         normal_at = normal(point)
         normal_sq = float(np.vdot(normal_at, normal_at).real)
         grad = tangent_project(gradient(point, terms), normal_at, normal_sq)
         grad_sq = float(np.vdot(grad, grad).real)
         grad_norm = np.sqrt(grad_sq)
         if grad_norm <= grad_tol:
-            break
+            return point, np.asarray(trace), "gradient"
 
         if direction is None or since_restart >= restart_period:
             fr_coeff = 0.0
@@ -214,7 +231,7 @@ def _ascend(
             since_restart = 0
             found = _armijo_search(point, direction, cap, obj, grad_sq, objective, retract, options)
         if found is None:
-            break  # stationary within line-search resolution
+            return point, np.asarray(trace), "line search"
 
         point, prev_step, obj, terms = found
         trace.append(obj)
@@ -225,9 +242,9 @@ def _ascend(
         if len(trace) > stall_window:
             gained = obj - trace[-1 - stall_window]
             if gained < options.outer_tol / 10.0 * max(abs(obj), 1e-12):
-                break
+                return point, np.asarray(trace), "stall"
 
-    return point, np.asarray(trace)
+    return point, np.asarray(trace), "cap"
 
 
 def manifold_cg(
@@ -240,7 +257,7 @@ def manifold_cg(
     penalty1: float,
     penalty2: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fletcher-Reeves conjugate-gradient ascent on the norm sphere.
+    """Fletcher-Reeves conjugate-gradient ascent on the norm sphere, for at most ``max_mo_iters`` steps.
 
     Each Armijo search retracts its trial steps onto the sphere as a stack
     and evaluates them in one kernel call (see ``_ascend``). Returns the
@@ -257,7 +274,8 @@ def manifold_cg(
         lambda F: F,
         lambda F, steps: retract(F, steps, c1),
         options,
-    )
+        options.max_mo_iters,
+    )[:2]
 
 
 def budget_normal(X: np.ndarray, F_A: np.ndarray | None, config: SystemConfig) -> np.ndarray:
@@ -285,7 +303,8 @@ def _budget_ascent(
     channels: ChannelRealization,
     config: SystemConfig,
     options: SolverOptions,
-) -> tuple[np.ndarray, np.ndarray]:
+    max_steps: int,
+) -> tuple[np.ndarray, np.ndarray, str]:
     """Ascent of the weighted rate objective of ``F_A @ X`` over X on the exact power budget.
 
     ``F_A = None`` means the precoder is X itself. The retraction rescales
@@ -293,8 +312,8 @@ def _budget_ascent(
     of a search in one ``power_match_scale`` call), the gradient is the
     pulled-back ``F_A^H grad``, and the ascent projects onto the tangent
     space of the budget's level set (``budget_normal``). Returns the final
-    X and the objective trace (see ``_ascend``); the first entry is the
-    objective of power-matched X.
+    X, the objective trace and the stop reason (see ``_ascend``); the first
+    entry of the trace is the objective of power-matched X.
     """
     lift = (lambda Xs: Xs) if F_A is None else (lambda Xs: F_A @ Xs)
     link = Link.of(channels, config)
@@ -312,7 +331,7 @@ def _budget_ascent(
         return egrad if F_A is None else F_A.conj().T @ egrad
 
     start = fit(X, np.zeros((1, *X.shape)))[0]
-    return _ascend(start, objective, gradient, lambda X: budget_normal(X, F_A, config), fit, options)
+    return _ascend(start, objective, gradient, lambda X: budget_normal(X, F_A, config), fit, options, max_steps)
 
 
 def update_quartic_moment(
@@ -381,33 +400,6 @@ def _initial_point(
     return F, m4, m6, lam1, lam2
 
 
-def _budget_start(
-    channels: ChannelRealization,
-    config: SystemConfig,
-    options: SolverOptions,
-    f_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Precoder from ascending the weighted objective on the exact power budget.
-
-    Starts at ``f_init``, or at the matched-filter columns when it is None,
-    and repeats one ``_budget_ascent`` run (each restarts the conjugate
-    directions) until a run gains less than ``outer_tol`` relative, for at
-    most ``max_outer_iters`` runs. Returns the point, which is on the budget
-    {F : P(F) = p_tot}, and diagnostics holding each run's objective trace
-    and whether a run met ``outer_tol`` (false when the runs were spent
-    first).
-    """
-    F = _mrt_direction(channels) if f_init is None else np.asarray(f_init, dtype=complex)
-    diag = SolveDiagnostics()
-    for _ in range(options.max_outer_iters):
-        F, trace = _budget_ascent(None, F, channels, config, options)
-        diag.inner_traces.append(trace)
-        if trace[-1] - trace[0] < options.outer_tol * max(abs(trace[-1]), 1e-12):
-            diag.converged = True
-            break
-    return F, diag
-
-
 def first_mo_trace(
     channels: ChannelRealization,
     config: SystemConfig,
@@ -436,20 +428,19 @@ def optimize_full_digital(
 ) -> tuple[PrecoderState, SolveDiagnostics]:
     """Design the full-digital precoder on the exact power budget.
 
-    Ascends the weighted objective on the budget {F : P(F) = p_tot}
-    (``_budget_start``), from ``f_init`` or, when it is None, from the
-    matched-filter columns, with one path for every amplifier: the ascent
-    projects onto the tangent space of the budget's level set, so with a
-    cubic term no moment alternation is needed. ``converged`` says whether
-    the last ascent gained less than ``outer_tol`` relative (false when
-    ``max_outer_iters`` ascents were spent first), and ``inner_traces``
-    holds every ascent's objective trace. The returned moments are the
-    exact ones of the returned precoder.
+    One ``_budget_ascent`` of the weighted objective on the budget
+    {F : P(F) = p_tot}, from ``f_init`` or, when it is None, from the
+    matched-filter columns, for at most ``max_design_steps`` steps. It is
+    one path for every amplifier: the ascent projects onto the tangent space
+    of the budget's level set, so with a cubic term no moment alternation is
+    needed. The diagnostics hold the ascent's objective trace and stop
+    reason; ``converged`` is true when it stopped on the gradient tolerance
+    or the stall test. The returned moments are the exact ones of the
+    returned precoder.
     """
     options = options or config.solver
-    F, diag = _budget_start(channels, config, options, f_init)
+    start = _mrt_direction(channels) if f_init is None else np.asarray(f_init, dtype=complex)
+    F, trace, stop = _budget_ascent(None, start, channels, config, options, options.max_design_steps)
     m4, m6 = moment_targets(F)
-    diag.final_power_residual = (
-        abs(radiated_power(F, config.beta1, config.beta3)[0] - config.p_tot) / config.p_tot
-    )
-    return PrecoderState(full_digital=F, moment4=m4, moment6=m6), diag
+    residual = abs(radiated_power(F, config.beta1, config.beta3)[0] - config.p_tot) / config.p_tot
+    return PrecoderState(full_digital=F, moment4=m4, moment6=m6), SolveDiagnostics(trace, stop, residual)

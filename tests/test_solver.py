@@ -12,7 +12,6 @@ from dabf.solver import (
     DegeneratePA,
     InfeasibleMomentBudget,
     _budget_ascent,
-    _budget_start,
     _mrt_direction,
     budget_normal,
     first_mo_trace,
@@ -401,16 +400,6 @@ def power_matched_mrt(ch, cfg):
     return scale_to_power(_mrt_direction(ch), cfg.p_tot, cfg.beta1, cfg.beta3)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_budget_start_is_feasible_and_beats_matched_filter(seed):
-    cfg = convergence_scale_config()
-    ch = draw_channels(cfg, np.random.default_rng(600 + seed))
-    F, _ = _budget_start(ch, cfg, cfg.solver)
-    power = radiated_power(F, cfg.beta1, cfg.beta3)[0]
-    assert abs(power - cfg.p_tot) <= 1e-12 * cfg.p_tot
-    assert weighted_objective(F, ch, cfg) >= weighted_objective(power_matched_mrt(ch, cfg), ch, cfg)
-
-
 @pytest.mark.parametrize("hybrid", [False, True])
 @pytest.mark.parametrize("beta3", [0j, BETA3])
 def test_budget_normal_is_radiated_power_gradient(beta3, hybrid):
@@ -430,10 +419,8 @@ def test_budget_normal_is_radiated_power_gradient(beta3, hybrid):
         assert np.array_equal(normal, X)
 
 
-def test_level_set_ascent_gains_where_sphere_projection_stops():
-    # Projected onto the sphere's tangent space (the oracle's default normal)
-    # in place of the budget's, the ascent ends on a failed line search short
-    # of a stationary point; one exact-budget ascent goes on from there.
+def sphere_projected_oracle(events=None):
+    """The seed-1 desk instance and the oracle's ascent on it, projected onto the sphere's tangent space."""
     cfg = convergence_scale_config()
     ch = draw_channels(cfg, np.random.default_rng(1))
 
@@ -441,8 +428,7 @@ def test_level_set_ascent_gains_where_sphere_projection_stops():
         moved = X + step
         return moved * power_match_scale(moved, cfg.p_tot, cfg.beta1, cfg.beta3)
 
-    events = {}
-    F, _ = oracles.ascend(
+    point, trace = oracles.ascend(
         fit(_mrt_direction(ch), 0.0),
         lambda X: weighted_objective(X, ch, cfg),
         lambda X: euclidean_gradient(X, NO_PENALTY, ch, cfg),
@@ -450,9 +436,54 @@ def test_level_set_ascent_gains_where_sphere_projection_stops():
         cfg.solver,
         events,
     )
+    return cfg, ch, point, trace
+
+
+def test_level_set_ascent_gains_where_sphere_projection_stops():
+    # Projected onto the sphere's tangent space (the oracle's default normal)
+    # in place of the budget's, the ascent ends on a failed line search short
+    # of a stationary point; one exact-budget ascent goes on from there.
+    events = {}
+    cfg, ch, F, _ = sphere_projected_oracle(events)
     assert events.get("failed") == 1
-    _, trace = _budget_ascent(None, F, ch, cfg, cfg.solver)
+    _, trace, _ = _budget_ascent(None, F, ch, cfg, cfg.solver, cfg.solver.max_mo_iters)
     assert trace[-1] - trace[0] > cfg.solver.outer_tol * abs(trace[-1])
+
+
+# ---------------------------------------------------------------- stop reasons
+
+
+def test_ascent_stops_on_gradient_tolerance():
+    cfg, ch = desk_instance(634, BETA3)
+    loose = SolverOptions(mo_grad_tol_scale=1e6)
+    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, loose, loose.max_design_steps)
+    assert stop == "gradient" and len(trace) == 1
+
+
+def test_ascent_stops_on_stall():
+    cfg, ch = desk_instance(634, BETA3)
+    opts = cfg.solver
+    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, opts, opts.max_design_steps)
+    assert stop == "stall" and 10 < len(trace) <= opts.max_design_steps
+    assert trace[-1] - trace[-11] < opts.outer_tol / 10.0 * abs(trace[-1])
+
+
+def test_ascent_stops_on_failed_line_search(monkeypatch):
+    # With the sphere's normal in place of the budget's, the engine ends on
+    # the failed line search of the level-set test, at the oracle's point.
+    import dabf.solver as solver_mod
+
+    cfg, ch, ref_point, ref_trace = sphere_projected_oracle()
+    monkeypatch.setattr(solver_mod, "budget_normal", lambda X, F_A, config: X)
+    F, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, cfg.solver, cfg.solver.max_mo_iters)
+    assert stop == "line search" and len(trace) <= cfg.solver.max_mo_iters
+    assert np.array_equal(F, ref_point) and np.array_equal(trace, ref_trace)
+
+
+def test_ascent_stops_at_cap():
+    cfg, ch = desk_instance(634, BETA3)
+    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, cfg.solver, 3)
+    assert stop == "cap" and len(trace) == 4
 
 
 def test_first_mo_trace_starts_at_power_matched_matched_filter():
@@ -492,29 +523,49 @@ def test_linear_solve_runs_no_alternation(monkeypatch):
     assert calls["n"] == 0
 
 
+AMPLIFIERS = pytest.mark.parametrize("beta3", [0j, BETA3], ids=["linear", "cubic"])
+
+
+@AMPLIFIERS
 @pytest.mark.parametrize("given", [False, True])
-def test_linear_solve_returns_budget_start_point(given):
-    cfg, ch = desk_instance(631, 0j)
+def test_design_is_one_budget_ascent(monkeypatch, given, beta3):
+    import dabf.solver as solver_mod
+
+    ascents = []
+    real_ascent = solver_mod._budget_ascent
+
+    def counted(*args, **kwargs):
+        ascents.append(real_ascent(*args, **kwargs))
+        return ascents[-1]
+
+    monkeypatch.setattr(solver_mod, "_budget_ascent", counted)
+    cfg, ch = desk_instance(631, beta3)
     f_init = random_complex((cfg.n_tx, cfg.n_users), 632) if given else None
-    F, start = _budget_start(ch, cfg, cfg.solver, f_init)
     state, diag = optimize_full_digital(ch, cfg, f_init=f_init)
-    assert np.array_equal(state.full_digital, F)
-    assert diag.converged == start.converged
-    # Every ascent's trace is kept, so criterion 4's dip check reads them all.
-    assert diag.records == [] and len(diag.inner_traces) == len(start.inner_traces) >= 1
-    assert all(np.array_equal(a, b) for a, b in zip(diag.inner_traces, start.inner_traces))
+    assert len(ascents) == 1
+    F, trace, stop = ascents[0]
+    assert np.array_equal(state.full_digital, F) and np.array_equal(diag.trace, trace)
+    assert diag.stop == stop and diag.converged == (stop in ("gradient", "stall"))
     m4, m6 = moment_targets(F)
     assert np.array_equal(state.moment4, m4) and np.array_equal(state.moment6, m6)
-    assert diag.final_power_residual < 1e-12
 
 
-def test_linear_solve_out_of_runs_is_not_converged():
-    # One exact-budget run from the matched filter still gains far more than
-    # outer_tol, for a linear and a cubic amplifier.
-    opts = SolverOptions(max_outer_iters=1)
-    for beta3 in (0j, BETA3):
-        cfg, ch = desk_instance(633, beta3)
-        _, trace = _budget_ascent(None, _mrt_direction(ch), ch, cfg, opts)
-        assert trace[-1] - trace[0] >= opts.outer_tol * abs(trace[-1])
-        assert optimize_full_digital(ch, cfg, opts)[1].converged is False
-        assert optimize_full_digital(ch, cfg)[1].converged is True
+@AMPLIFIERS
+@pytest.mark.parametrize("seed", range(3))
+def test_design_is_on_budget_and_beats_matched_filter(seed, beta3):
+    cfg, ch = desk_instance(600 + seed, beta3)
+    state, diag = optimize_full_digital(ch, cfg)
+    F = state.full_digital
+    power = radiated_power(F, cfg.beta1, cfg.beta3)[0]
+    assert abs(power - cfg.p_tot) <= 1e-12 * cfg.p_tot and diag.final_power_residual < 1e-12
+    assert weighted_objective(F, ch, cfg) >= weighted_objective(power_matched_mrt(ch, cfg), ch, cfg)
+    assert diag.converged and diag.trace[-1] == weighted_objective(F, ch, cfg)
+
+
+@AMPLIFIERS
+def test_design_out_of_steps_is_not_converged(beta3):
+    cfg, ch = desk_instance(633, beta3)
+    _, diag = optimize_full_digital(ch, cfg, SolverOptions(max_design_steps=5))
+    assert diag.stop == "cap" and len(diag.trace) == 6 and diag.converged is False
+    _, diag = optimize_full_digital(ch, cfg)
+    assert diag.stop in ("gradient", "stall") and diag.converged is True
