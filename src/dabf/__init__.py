@@ -1,7 +1,7 @@
 """Distortion-aware hybrid beamforming for joint communication and sensing."""
 
 from .channel import ChannelRealization, draw_channels, steering_vector
-from .config import ConfigError, SolverOptions, SystemConfig, dbm_to_mw, mw_to_dbm, noise_from_snr
+from .config import ConfigError, SystemConfig, dbm_to_mw, noise_from_snr
 from .decomposition import analog_feasibility_check, decompose, match_hybrid_power, refine_digital
 from .distortion import (
     bussgang_gain_diag,
@@ -45,7 +45,6 @@ __all__ = [
     "MomentPenalty",
     "PrecoderState",
     "SolveDiagnostics",
-    "SolverOptions",
     "SystemConfig",
     "analog_feasibility_check",
     "bussgang_gain_diag",
@@ -62,7 +61,6 @@ __all__ = [
     "moment_targets",
     "moment_penalty",
     "mrt_precoder",
-    "mw_to_dbm",
     "noise_from_snr",
     "optimize_full_digital",
     "pa_blind_precoder",

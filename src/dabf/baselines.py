@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelRealization
-from .config import SolverOptions, SystemConfig
+from .config import SystemConfig
 from .distortion import scale_to_power
 from .solver import PrecoderState, SolveDiagnostics, _mrt_direction, optimize_full_digital
 
@@ -21,16 +21,16 @@ def mrt_precoder(channels: ChannelRealization, config: SystemConfig) -> np.ndarr
     return scale_to_power(_mrt_direction(channels), config.p_tot, config.beta1, config.beta3)
 
 
-def zf_precoder(
-    channels: ChannelRealization,
-    config: SystemConfig,
-    cond_limit: float = 1e12,
-) -> np.ndarray:
+# Largest Gram condition number of a channel that the zero-forcing precoder inverts.
+ZF_COND_LIMIT = 1e12
+
+
+def zf_precoder(channels: ChannelRealization, config: SystemConfig) -> np.ndarray:
     """Channel-inverting columns (zero cross-user leakage before amplification)."""
     H = channels.user_channels.T  # (n_tx, k)
     gram = H.conj().T @ H
     cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > ZF_COND_LIMIT:
         raise ValueError(f"channel matrix is rank deficient (Gram condition number {cond:.3e})")
     F = H @ np.linalg.inv(gram)
     return scale_to_power(F, config.p_tot, config.beta1, config.beta3)
@@ -43,11 +43,7 @@ def rbf_precoder(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return scale_to_power(F, config.p_tot, config.beta1, config.beta3)
 
 
-def pa_blind_precoder(
-    channels: ChannelRealization,
-    config: SystemConfig,
-    options: SolverOptions | None = None,
-) -> tuple[PrecoderState, SolveDiagnostics]:
+def pa_blind_precoder(channels: ChannelRealization, config: SystemConfig) -> tuple[PrecoderState, SolveDiagnostics]:
     """Run the optimizer as if the amplifiers were ideal (cubic term zero).
 
     With the cubic term zero the solve is the exact-budget ascent alone,
@@ -57,4 +53,4 @@ def pa_blind_precoder(
     actual amplifier model is up to the caller to evaluate.
     """
     linear_config = config.with_updates(beta3=0j)
-    return optimize_full_digital(channels, linear_config, options)
+    return optimize_full_digital(channels, linear_config)

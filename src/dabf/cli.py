@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .config import ConfigError, SolverOptions, SystemConfig, dbm_to_mw, noise_from_snr
+from .config import ConfigError, SystemConfig, dbm_to_mw, noise_from_snr, require_int
 from .experiments import EXPERIMENT_KINDS, SCHEMES, ExperimentError, ExperimentSpec, run_experiment
 
 _SUBCOMMANDS = {
@@ -68,12 +68,9 @@ _SYSTEM_KEYS = {
     "beta3",
     "target_angle_deg",
     "target_gain",
-    "penalty1",
-    "penalty2",
 }
 
-_SOLVER_KEYS = {f.name for f in SolverOptions.__dataclass_fields__.values()}
-_TOP_KEYS = {"experiment", "system", "solver", "sweep", "beam", "output", "schemes", "seed", "workers"}
+_TOP_KEYS = {"experiment", "system", "sweep", "beam", "output", "schemes", "seed", "workers"}
 
 
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
@@ -146,22 +143,20 @@ def build_spec(
         if key in merged:
             merged[key] = _as_complex(merged[key], key)
 
-    solver_raw = dict(raw.get("solver") or {})
-    _reject_unknown(solver_raw, _SOLVER_KEYS, "solver section")
-    solver = SolverOptions(**solver_raw)
-
     system = SystemConfig(
         p_tot=p_tot,
         noise_user=tuple(np.atleast_1d(np.asarray(noise_user, dtype=float))),
         noise_sense=float(noise_sense),
-        solver=solver,
         **merged,
     )
 
     sweep_raw = dict(raw.get("sweep") or {})
     _reject_unknown(sweep_raw, {"grid", "realizations"}, "sweep section")
-    grid = [float(v) for v in sweep_raw.get("grid", _GRID_DEFAULTS[kind])]
-    n_real = int(sweep_raw.get("realizations", _REALIZATION_DEFAULTS[kind]))
+    grid_raw = sweep_raw.get("grid", _GRID_DEFAULTS[kind])
+    if any(isinstance(v, bool) for v in grid_raw):
+        raise ConfigError(f"grid values must be numbers, got {grid_raw!r}")
+    grid = [float(v) for v in grid_raw]
+    n_real = sweep_raw.get("realizations", _REALIZATION_DEFAULTS[kind])
 
     beam_raw = dict(raw.get("beam") or {})
     _reject_unknown(beam_raw, {"user_angle_deg", "angle_step_deg"}, "beam section")
@@ -177,11 +172,11 @@ def build_spec(
         kind=kind,
         system=system,
         grid=tuple(grid),
-        realizations=int(realizations if realizations is not None else n_real),
+        realizations=require_int(realizations if realizations is not None else n_real, "realizations"),
         out_dir=str(out_dir if out_dir is not None else output_raw.get("dir", "results")),
         schemes=tuple(schemes),
-        workers=int(workers if workers is not None else raw.get("workers", 1)),
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
+        workers=require_int(workers if workers is not None else raw.get("workers", 1), "workers"),
+        seed=require_int(seed if seed is not None else raw.get("seed", 0), "seed"),
         user_angle_deg=float(beam_raw.get("user_angle_deg", 106.0)),
         angle_step_deg=float(beam_raw.get("angle_step_deg", 0.25)),
     )

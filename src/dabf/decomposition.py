@@ -20,7 +20,11 @@ import numpy as np
 
 from .config import ConfigError, SystemConfig
 from .distortion import power_match_scale
-from .solver import _budget_ascent
+from . import solver
+
+# Iteration limit and relative residual-change stop of the alternating factorization.
+DECOMPOSE_MAX_ITERS = 100
+DECOMPOSE_TOL = 1e-8
 
 
 def analog_from_phases(phases: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
@@ -33,8 +37,6 @@ def analog_from_phases(phases: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
 def decompose(
     F: np.ndarray,
     n_rf: int,
-    max_iters: int = 100,
-    tol: float = 1e-8,
     init_phases: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternating closed-form factorization F ~= F_A @ F_D.
@@ -42,7 +44,9 @@ def decompose(
     Analog update: each supported entry takes the phase of the matching entry
     of F @ F_D^H (zero-magnitude entries keep their previous phase). Digital
     update: least squares, F_D = (n_rf/n_tx) * F_A^H @ F. Returns the factors
-    plus the trace of Frobenius residuals, which is non-increasing.
+    plus the trace of Frobenius residuals, which is non-increasing. It stops
+    after ``DECOMPOSE_MAX_ITERS`` rounds or when a round changes the
+    residual by at most ``DECOMPOSE_TOL`` relative.
 
     ``init_phases`` overrides the warm start (one phase per antenna).
     """
@@ -68,11 +72,11 @@ def decompose(
     residuals: list[float] = []
     prev = None
     F_D = np.zeros((n_rf, k), dtype=complex)
-    for _ in range(max_iters):
+    for _ in range(DECOMPOSE_MAX_ITERS):
         F_D = (n_rf / n_tx) * (F_A.conj().T @ F)
         residual = float(np.linalg.norm(F - F_A @ F_D))
         residuals.append(residual)
-        if prev is not None and abs(prev - residual) <= tol * max(prev, 1e-300):
+        if prev is not None and abs(prev - residual) <= DECOMPOSE_TOL * max(prev, 1e-300):
             break
         prev = residual
 
@@ -96,16 +100,16 @@ def analog_feasibility_check(F_A: np.ndarray, n_tx: int, n_rf: int, tol: float =
 def refine_digital(F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemConfig) -> np.ndarray:
     """Ascend the weighted rate objective over the digital factor.
 
-    One ``_budget_ascent`` of ``F_A @ F_D`` at fixed analog phases, with
-    ``config.solver`` as its options and at most its ``max_mo_iters``
-    steps: the solver's Fletcher-Reeves/Armijo engine with the pulled-back
-    gradient ``F_A^H grad`` and, as the retraction, a rescale of each trial
-    onto the exact output-power budget of ``config``. Pass the design-model configuration (e.g. one with the
-    cubic coefficient zeroed) to refine a transmitter that believes in that
-    model. The returned factor never has a lower design-model objective
-    than the power-matched input.
+    One ``_budget_ascent`` of ``F_A @ F_D`` at fixed analog phases, for at
+    most ``solver.MAX_MO_STEPS`` steps: the solver's Fletcher-Reeves/Armijo
+    engine, with its constants, the pulled-back gradient ``F_A^H grad`` and,
+    as the retraction, a rescale of each trial onto the exact output-power
+    budget of ``config``. Pass the design-model configuration (e.g. one
+    with the cubic coefficient zeroed) to refine a transmitter that believes
+    in that model. The returned factor never has a lower design-model
+    objective than the power-matched input.
     """
-    return _budget_ascent(F_A, F_D, channels, config, config.solver, config.solver.max_mo_iters)[0]
+    return solver._budget_ascent(F_A, F_D, channels, config, solver.MAX_MO_STEPS)[0]
 
 
 def match_hybrid_power(F_A: np.ndarray, F_D: np.ndarray, config: SystemConfig) -> np.ndarray:

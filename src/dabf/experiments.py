@@ -243,7 +243,6 @@ def _write_manifest(spec: ExperimentSpec, out_name: str) -> None:
             fh.write(f"grid: {list(spec.grid)}\n")
             fh.write(f"schemes: {list(spec.schemes)}\n")
             fh.write(f"system: {spec.system}\n")
-            fh.write(f"solver: {spec.system.solver}\n")
             if spec.kind == "beam_pattern":
                 fh.write(f"user_angle_deg: {spec.user_angle_deg}\n")
                 fh.write(f"angle_step_deg: {spec.angle_step_deg}\n")

@@ -10,6 +10,10 @@ rescaled back onto the budget. Every ascent reports why it stopped (see
 ``_ascend``), and the design has converged when its ascent stopped on the
 gradient tolerance or the stall test.
 
+The algorithm is fixed: its tolerances, Armijo constants, step caps and
+penalty strengths are the module constants below, which the functions read
+when they are called.
+
 The paper's three blocks are kept but are not on the design path: the
 Riemannian conjugate-gradient ascent of the penalized objective on the
 fixed-Frobenius-norm sphere implied by the current moments
@@ -28,13 +32,14 @@ vector updates are exactly those diagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 from typing import Callable
 
 import numpy as np
 
 from . import gradients
 from .channel import ChannelRealization
-from .config import SolverOptions, SystemConfig
+from .config import SystemConfig
 from .distortion import budget_coefficients, power_match_scale, radiated_power, scale_to_power
 from .gradients import (
     NO_PENALTY,
@@ -46,6 +51,24 @@ from .gradients import (
     moment_targets,
     penalized_objective,
 )
+
+
+# Step caps: the full-digital design, and the refinement and ``manifold_cg``.
+MAX_DESIGN_STEPS = 10_000
+MAX_MO_STEPS = 200
+# Stall test: ten accepted steps that gain less than OUTER_TOL / 10 relative.
+OUTER_TOL = 1e-5
+# Gradient tolerance, multiplied by sqrt(n_tx * n_users).
+GRAD_TOL_SCALE = 1e-6
+# Backtracking search: the first trial step is ARMIJO_INIT_STEP / ||grad||_F,
+# each further trial contracts it, and at most ARMIJO_MAX_BACKTRACKS are tried.
+ARMIJO_INIT_STEP = 1.0
+ARMIJO_CONTRACTION = 0.5
+ARMIJO_SLOPE = 1e-4
+ARMIJO_MAX_BACKTRACKS = 30
+# Dimensionless strengths of the two moment penalties (see ``_initial_point``).
+PENALTY1 = -10.0
+PENALTY2 = -10.0
 
 
 class DegeneratePA(RuntimeError):
@@ -75,7 +98,7 @@ class SolveDiagnostics:
 
     ``converged`` is true when the ascent stopped on its gradient tolerance
     or its stall test, and false when a line search failed or the ascent
-    reached ``max_design_steps``.
+    reached ``MAX_DESIGN_STEPS``.
     """
 
     trace: np.ndarray
@@ -132,23 +155,23 @@ def sphere_radius_sq(m4: np.ndarray, m6: np.ndarray, config: SystemConfig) -> fl
 _TRIALS_PER_CALL = 4
 
 
-def _armijo_search(point, direction, step, obj, grad_sq, objective, retract, options):
-    """First trial of step, step*c, step*c^2, ... that passes the Armijo test.
+def _armijo_search(point, direction, step, obj, grad_sq, objective, retract):
+    """First trial of step, step*c, step*c^2, ... (c = ``ARMIJO_CONTRACTION``) that passes the Armijo test.
 
-    The ``armijo_max_backtracks`` trial steps are retracted and evaluated
+    The ``ARMIJO_MAX_BACKTRACKS`` trial steps are retracted and evaluated
     ``_TRIALS_PER_CALL`` at a time as one stack, and the first passing trial
     in sequence order wins, so the outcome is that of trying them one by
     one. Returns (point, step, objective, terms) of that trial, or None.
     """
-    for start in range(0, options.armijo_max_backtracks, _TRIALS_PER_CALL):
+    for start in range(0, ARMIJO_MAX_BACKTRACKS, _TRIALS_PER_CALL):
         chunk = []
-        for _ in range(min(_TRIALS_PER_CALL, options.armijo_max_backtracks - start)):
+        for _ in range(min(_TRIALS_PER_CALL, ARMIJO_MAX_BACKTRACKS - start)):
             chunk.append(step)
-            step *= options.armijo_contraction
+            step *= ARMIJO_CONTRACTION
         candidates = retract(point, np.array(chunk)[:, None, None] * direction)
         values, terms = objective(candidates)
         for i, s in enumerate(chunk):
-            if values[i] >= obj + options.armijo_slope * s * grad_sq:
+            if values[i] >= obj + ARMIJO_SLOPE * s * grad_sq:
                 return candidates[i], s, values[i], terms[i]
     return None
 
@@ -159,7 +182,6 @@ def _ascend(
     gradient: Callable[[np.ndarray, Terms], np.ndarray],
     normal: Callable[[np.ndarray], np.ndarray],
     retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    options: SolverOptions,
     max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Fletcher-Reeves conjugate-gradient ascent with Armijo backtracking, for at most ``max_steps`` steps.
@@ -179,12 +201,13 @@ def _ascend(
     ``point.size`` steps.
     Returns the final point, the objective trace (length 1 + number of
     accepted steps, non-decreasing by the Armijo acceptance rule) and why
-    the ascent stopped: ``"gradient"`` (the projected gradient is within
-    ``options.mo_grad_tol``), ``"stall"`` (the last ten steps gained less
-    than ``outer_tol / 10`` relative), ``"line search"`` (no trial step
-    passed, also along the gradient) or ``"cap"`` (``max_steps`` steps).
+    the ascent stopped: ``"gradient"`` (the projected gradient norm is at
+    most ``GRAD_TOL_SCALE`` times the square root of the point's entry
+    count), ``"stall"`` (the last ten steps gained less than
+    ``OUTER_TOL / 10`` relative), ``"line search"`` (no trial step passed,
+    also along the gradient) or ``"cap"`` (``max_steps`` steps).
     """
-    grad_tol = options.mo_grad_tol(*point.shape)
+    grad_tol = GRAD_TOL_SCALE * math.sqrt(point.size)
     restart_period = point.size
     values, terms = objective(point[None])
     obj, terms = values[0], terms[0]
@@ -219,17 +242,17 @@ def _ascend(
 
         # Warm-started backtracking: reuse the previous accepted step (with
         # headroom) so stiff stretches do not pay a full backtrack cascade
-        # every iteration; the cap is the configured 1/||grad|| initial step.
-        cap = options.armijo_init_step / grad_norm
+        # every iteration; the cap is the ARMIJO_INIT_STEP/||grad|| initial step.
+        cap = ARMIJO_INIT_STEP / grad_norm
         step = min(4.0 * prev_step, cap) if prev_step > 0.0 else cap
-        found = _armijo_search(point, direction, step, obj, grad_sq, objective, retract, options)
+        found = _armijo_search(point, direction, step, obj, grad_sq, objective, retract)
         if found is None and fr_coeff != 0.0:
             # The momentum direction can be too misaligned with the gradient
             # for the acceptance rule; retry once along the gradient itself.
             fr_coeff = 0.0
             direction = grad
             since_restart = 0
-            found = _armijo_search(point, direction, cap, obj, grad_sq, objective, retract, options)
+            found = _armijo_search(point, direction, cap, obj, grad_sq, objective, retract)
         if found is None:
             return point, np.asarray(trace), "line search"
 
@@ -241,7 +264,7 @@ def _ascend(
         # accepted steps, so a single cautious step cannot end the run.
         if len(trace) > stall_window:
             gained = obj - trace[-1 - stall_window]
-            if gained < options.outer_tol / 10.0 * max(abs(obj), 1e-12):
+            if gained < OUTER_TOL / 10.0 * max(abs(obj), 1e-12):
                 return point, np.asarray(trace), "stall"
 
     return point, np.asarray(trace), "cap"
@@ -253,11 +276,10 @@ def manifold_cg(
     m6: np.ndarray,
     channels: ChannelRealization,
     config: SystemConfig,
-    options: SolverOptions,
     penalty1: float,
     penalty2: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fletcher-Reeves conjugate-gradient ascent on the norm sphere, for at most ``max_mo_iters`` steps.
+    """Fletcher-Reeves conjugate-gradient ascent on the norm sphere, for at most ``MAX_MO_STEPS`` steps.
 
     Each Armijo search retracts its trial steps onto the sphere as a stack
     and evaluates them in one kernel call (see ``_ascend``). Returns the
@@ -273,8 +295,7 @@ def manifold_cg(
         lambda F, terms: euclidean_gradient(F, penalty, channels, config, terms=terms),
         lambda F: F,
         lambda F, steps: retract(F, steps, c1),
-        options,
-        options.max_mo_iters,
+        MAX_MO_STEPS,
     )[:2]
 
 
@@ -302,7 +323,6 @@ def _budget_ascent(
     X: np.ndarray,
     channels: ChannelRealization,
     config: SystemConfig,
-    options: SolverOptions,
     max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Ascent of the weighted rate objective of ``F_A @ X`` over X on the exact power budget.
@@ -331,7 +351,7 @@ def _budget_ascent(
         return egrad if F_A is None else F_A.conj().T @ egrad
 
     start = fit(X, np.zeros((1, *X.shape)))[0]
-    return _ascend(start, objective, gradient, lambda X: budget_normal(X, F_A, config), fit, options, max_steps)
+    return _ascend(start, objective, gradient, lambda X: budget_normal(X, F_A, config), fit, max_steps)
 
 
 def update_quartic_moment(
@@ -385,7 +405,7 @@ def _initial_point(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """F rescaled to the power budget, its exact moments, and the working penalty weights.
 
-    Configured penalty strengths are treated as dimensionless and divided by
+    The penalty strengths ``PENALTY1``/``PENALTY2`` are dimensionless and divided by
     the squared norms of the initial moment targets; raw weights would make
     the penalty curvature scale with p_tot^4 and freeze the precoder update.
     """
@@ -395,42 +415,37 @@ def _initial_point(
         # With a linear PA the budget no longer involves the moments; penalties off.
         lam1 = lam2 = 0.0
     else:
-        lam1 = config.penalty1 / float(np.real(np.vdot(m4, m4)))
-        lam2 = config.penalty2 / max(float(np.real(np.vdot(m6, m6))), 1e-300)
+        lam1 = PENALTY1 / float(np.real(np.vdot(m4, m4)))
+        lam2 = PENALTY2 / max(float(np.real(np.vdot(m6, m6))), 1e-300)
     return F, m4, m6, lam1, lam2
 
 
-def first_mo_trace(
-    channels: ChannelRealization,
-    config: SystemConfig,
-    options: SolverOptions | None = None,
-) -> np.ndarray:
+def first_mo_trace(channels: ChannelRealization, config: SystemConfig) -> np.ndarray:
     """Objective trace of a first conjugate-gradient run of the paper's alternation from the matched filter.
 
     Starts at power-matched matched-filter columns with the moments at
     their exact values, runs ``manifold_cg`` on the sphere they imply (not
-    the exact-budget ascent of ``optimize_full_digital``) and records the
-    penalized objective per accepted inner step. At this starting point the
-    penalty terms are zero, so the first entry equals the weighted rate
-    objective of the initializer.
+    the exact-budget ascent of ``optimize_full_digital``) for at most
+    ``MAX_MO_STEPS`` steps, with the penalty strengths ``PENALTY1`` and
+    ``PENALTY2``, and records the penalized objective per accepted inner
+    step. At this starting point the penalty terms are zero, so the first
+    entry equals the weighted rate objective of the initializer.
     """
-    options = options or config.solver
     F, m4, m6, lam1, lam2 = _initial_point(_mrt_direction(channels), config)
-    _, trace = manifold_cg(F, m4, m6, channels, config, options, lam1, lam2)
+    _, trace = manifold_cg(F, m4, m6, channels, config, lam1, lam2)
     return trace
 
 
 def optimize_full_digital(
     channels: ChannelRealization,
     config: SystemConfig,
-    options: SolverOptions | None = None,
     f_init: np.ndarray | None = None,
 ) -> tuple[PrecoderState, SolveDiagnostics]:
     """Design the full-digital precoder on the exact power budget.
 
     One ``_budget_ascent`` of the weighted objective on the budget
     {F : P(F) = p_tot}, from ``f_init`` or, when it is None, from the
-    matched-filter columns, for at most ``max_design_steps`` steps. It is
+    matched-filter columns, for at most ``MAX_DESIGN_STEPS`` steps. It is
     one path for every amplifier: the ascent projects onto the tangent space
     of the budget's level set, so with a cubic term no moment alternation is
     needed. The diagnostics hold the ascent's objective trace and stop
@@ -438,9 +453,8 @@ def optimize_full_digital(
     or the stall test. The returned moments are the exact ones of the
     returned precoder.
     """
-    options = options or config.solver
     start = _mrt_direction(channels) if f_init is None else np.asarray(f_init, dtype=complex)
-    F, trace, stop = _budget_ascent(None, start, channels, config, options, options.max_design_steps)
+    F, trace, stop = _budget_ascent(None, start, channels, config, MAX_DESIGN_STEPS)
     m4, m6 = moment_targets(F)
     residual = abs(radiated_power(F, config.beta1, config.beta3)[0] - config.p_tot) / config.p_tot
     return PrecoderState(full_digital=F, moment4=m4, moment6=m6), SolveDiagnostics(trace, stop, residual)

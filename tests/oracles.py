@@ -17,11 +17,11 @@ reproduce exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
 
-from dabf.config import SolverOptions
 from dabf.solver import DegeneratePA, tangent_project
 
 
@@ -415,9 +415,16 @@ def ascend(
     objective: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray],
     retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    options: SolverOptions,
     events: dict | None = None,
     normal: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    max_mo_steps: int = 200,
+    outer_tol: float = 1e-5,
+    grad_tol_scale: float = 1e-6,
+    armijo_init_step: float = 1.0,
+    armijo_contraction: float = 0.5,
+    armijo_slope: float = 1e-4,
+    armijo_max_backtracks: int = 30,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fletcher-Reeves/Armijo ascent that tries one trial step per objective call.
 
@@ -429,11 +436,13 @@ def ascend(
     sphere). ``events``, if given, counts ``"deep"`` searches (more than 4
     backtracks before acceptance), ``"retry"`` momentum searches that
     failed and were redone along the gradient, and ``"failed"`` searches
-    that found no step, which end the ascent.
+    that found no step, which end the ascent. The keyword constants are
+    the paper's; each is the lower-case name of the ``dabf.solver``
+    constant it mirrors.
     """
     events = {} if events is None else events
     normal = (lambda X: X) if normal is None else normal
-    grad_tol = options.mo_grad_tol(*point.shape)
+    grad_tol = grad_tol_scale * math.sqrt(point.shape[0] * point.shape[1])
     restart_period = point.size
     obj = objective(point)
     trace = [obj]
@@ -444,7 +453,7 @@ def ascend(
     since_restart = 0
     stall_window = 10
 
-    for _ in range(options.max_mo_iters):
+    for _ in range(max_mo_steps):
         grad = tangent_project(gradient(point), normal(point))
         grad_sq = float(np.real(np.vdot(grad, grad)))
         grad_norm = np.sqrt(grad_sq)
@@ -463,19 +472,19 @@ def ascend(
                 direction = grad
                 since_restart = 0
 
-        cap = options.armijo_init_step / grad_norm
+        cap = armijo_init_step / grad_norm
         step = min(4.0 * prev_step, cap) if prev_step > 0.0 else cap
         accepted = False
         while True:
-            for tried in range(options.armijo_max_backtracks):
+            for tried in range(armijo_max_backtracks):
                 candidate = retract(point, step * direction)
                 cand_obj = objective(candidate)
-                if cand_obj >= obj + options.armijo_slope * step * grad_sq:
+                if cand_obj >= obj + armijo_slope * step * grad_sq:
                     accepted = True
                     if tried > 4:
                         events["deep"] = events.get("deep", 0) + 1
                     break
-                step *= options.armijo_contraction
+                step *= armijo_contraction
             if accepted or fr_coeff == 0.0:
                 break
             events["retry"] = events.get("retry", 0) + 1
@@ -495,7 +504,7 @@ def ascend(
         since_restart += 1
         if len(trace) > stall_window:
             gained = obj - trace[-1 - stall_window]
-            if gained < options.outer_tol / 10.0 * max(abs(obj), 1e-12):
+            if gained < outer_tol / 10.0 * max(abs(obj), 1e-12):
                 break
 
     return point, np.asarray(trace)

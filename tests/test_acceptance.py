@@ -11,7 +11,7 @@ import pytest
 
 import dabf
 from dabf.cli import build_spec
-from dabf.config import SolverOptions, SystemConfig, dbm_to_mw, noise_from_snr
+from dabf.config import SystemConfig, dbm_to_mw, noise_from_snr
 from dabf.decomposition import analog_from_phases, decompose
 from dabf.distortion import bussgang_gain_diag, radiated_power
 from dabf.experiments import (

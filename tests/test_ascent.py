@@ -10,20 +10,21 @@ import numpy as np
 import pytest
 
 import oracles
-from dabf import gradients
+from dabf import gradients, solver
 from dabf.channel import draw_channels
-from dabf.config import SolverOptions, SystemConfig, dbm_to_mw, noise_from_snr
+from dabf.config import SystemConfig, dbm_to_mw, noise_from_snr
 from dabf.decomposition import decompose, refine_digital
 from dabf.distortion import power_match_scale
 from dabf.gradients import NO_PENALTY, Link, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from dabf.metrics import weighted_objective
 from dabf.solver import _initial_point, _mrt_direction, budget_normal, manifold_cg, retract, sphere_radius_sq
 
-# Default options, a first trial step so large that whole chunks of trials
+# Default constants, a first trial step so large that whole chunks of trials
 # are rejected, a steep slope that also makes momentum searches fail and
 # retry along the gradient, and a trial budget that is not a multiple of the
-# chunk size.
-ASCENT_OPTIONS = {
+# chunk size. Keys are the oracle's keywords; upper-cased, they name the
+# ``dabf.solver`` constants.
+ASCENT_CONSTANTS = {
     "default": {},
     "deep": {"armijo_init_step": 1e4},
     "retry": {"armijo_slope": 0.9},
@@ -31,13 +32,12 @@ ASCENT_OPTIONS = {
 }
 
 
-def desk_instance(seed, **solver):
+def desk_instance(seed, monkeypatch, constants):
+    for key, value in constants.items():
+        monkeypatch.setattr(solver, key.upper(), value)
     p = dbm_to_mw(13.0)
     n0 = noise_from_snr(p, 20.0)
-    cfg = SystemConfig(
-        n_tx=16, n_rf=4, n_users=2, n_paths=3, p_tot=p, noise_user=n0, noise_sense=n0,
-        solver=SolverOptions(**solver),
-    )
+    cfg = SystemConfig(n_tx=16, n_rf=4, n_users=2, n_paths=3, p_tot=p, noise_user=n0, noise_sense=n0)
     return cfg, draw_channels(cfg, np.random.default_rng(seed))
 
 
@@ -48,9 +48,9 @@ def assert_events(name, events):
         assert events.get("retry", 0) > 0
 
 
-@pytest.mark.parametrize("name", sorted(ASCENT_OPTIONS))
-def test_sphere_ascent_equals_sequential_oracle(name):
-    cfg, ch = desk_instance(0, **ASCENT_OPTIONS[name])
+@pytest.mark.parametrize("name", sorted(ASCENT_CONSTANTS))
+def test_sphere_ascent_equals_sequential_oracle(name, monkeypatch):
+    cfg, ch = desk_instance(0, monkeypatch, ASCENT_CONSTANTS[name])
     F, m4, m6, lam1, lam2 = _initial_point(_mrt_direction(ch), cfg)
     m4 = 1.05 * m4  # off-target moments, so the penalties act
     c1 = sphere_radius_sq(m4, m6, cfg)
@@ -61,19 +61,19 @@ def test_sphere_ascent_equals_sequential_oracle(name):
         lambda X: penalized_objective(X, penalty, ch, cfg),
         lambda X: euclidean_gradient(X, penalty, ch, cfg),
         lambda X, step: retract(X, step, c1),
-        cfg.solver,
         events,
+        **ASCENT_CONSTANTS[name],
     )
-    point, trace = manifold_cg(F, m4, m6, ch, cfg, cfg.solver, lam1, lam2)
+    point, trace = manifold_cg(F, m4, m6, ch, cfg, lam1, lam2)
     assert_events(name, events)
     assert len(trace) > 1
     assert np.array_equal(point, ref_point)
     assert np.array_equal(trace, ref_trace)
 
 
-@pytest.mark.parametrize("name", sorted(ASCENT_OPTIONS))
-def test_power_matched_ascent_equals_sequential_oracle(name):
-    cfg, ch = desk_instance(1, **ASCENT_OPTIONS[name])
+@pytest.mark.parametrize("name", sorted(ASCENT_CONSTANTS))
+def test_power_matched_ascent_equals_sequential_oracle(name, monkeypatch):
+    cfg, ch = desk_instance(1, monkeypatch, ASCENT_CONSTANTS[name])
     F_A, F_D, _ = decompose(_initial_point(_mrt_direction(ch), cfg)[0], cfg.n_rf)
 
     def fit(X, step):
@@ -86,9 +86,9 @@ def test_power_matched_ascent_equals_sequential_oracle(name):
         lambda X: weighted_objective(F_A @ X, ch, cfg),
         lambda X: F_A.conj().T @ euclidean_gradient(F_A @ X, NO_PENALTY, ch, cfg),
         fit,
-        cfg.solver,
         events,
         lambda X: budget_normal(X, F_A, cfg),
+        **ASCENT_CONSTANTS[name],
     )
     assert_events(name, events)
     assert len(ref_trace) > 1

@@ -55,11 +55,53 @@ def test_unknown_keys_rejected(tmp_path):
     path = write(tmp_path, "experiment: sweep_snr\nturbo: true\n")
     with pytest.raises(ConfigError, match="turbo"):
         parse_config(path)
-    # Options of the removed moment alternation and restart loop are unknown, not silently ignored.
-    for key in ("penalty_growth", "max_outer_iters"):
+    # Tolerances, step caps and penalty strengths are algorithm constants: a
+    # solver section (also one holding options of the removed moment
+    # alternation and restart loop) and a penalty key are unknown, not ignored.
+    for key in ("penalty_growth", "max_outer_iters", "outer_tol"):
         path = write(tmp_path, f"experiment: sweep_snr\nsolver:\n  {key}: 5\n")
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match="unknown key.* in config root: solver;"):
             parse_config(path)
+    path = write(tmp_path, "experiment: sweep_snr\nsystem:\n  penalty1: -5\n")
+    with pytest.raises(ConfigError, match="unknown key.* in system section: penalty1;"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("key,value", [("n_tx", "16.0"), ("n_rf", "true"), ("n_users", "2.5"), ("n_paths", "'3'")])
+def test_non_integer_system_count_rejected(tmp_path, key, value):
+    path = write(tmp_path, f"experiment: sweep_snr\nsystem:\n  {key}: {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be an integer, got "):
+        parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("sweep: {realizations: 1.9}", "realizations"),
+        ("sweep: {realizations: true}", "realizations"),
+        ("workers: 1.9", "workers"),
+        ("seed: true", "seed"),
+        ("seed: 2.0", "seed"),
+    ],
+)
+def test_non_integer_run_count_rejected(tmp_path, text, key):
+    path = write(tmp_path, f"experiment: sweep_snr\n{text}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be an integer, got "):
+        parse_config(path)
+
+
+def test_boolean_grid_value_rejected(tmp_path):
+    path = write(tmp_path, "experiment: sweep_snr\nsweep: {grid: [false, true]}\n")
+    with pytest.raises(ConfigError, match=r"grid values must be numbers, got \[False, True\]"):
+        parse_config(path)
+
+
+def test_cli_non_integer_antenna_count_exits_with_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "experiment: convergence\nsystem: {n_tx: 16.0}\n")
+    code = main(["convergence", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "n_tx must be an integer, got 16.0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_kind_mismatch_rejected(tmp_path):

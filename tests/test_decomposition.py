@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dabf import gradients
+from dabf import gradients, solver
 from dabf.baselines import mrt_precoder
 from dabf.channel import draw_channels
 from dabf.config import ConfigError, SystemConfig, dbm_to_mw, noise_from_snr
@@ -189,4 +189,4 @@ def test_refine_digital_gradient_calls_within_solver_cap(monkeypatch):
 
     monkeypatch.setattr(gradients, "euclidean_gradient", counted)
     refine_digital(F_A, F_D, channels, cfg)
-    assert 0 < len(calls) <= cfg.solver.max_mo_iters
+    assert 0 < len(calls) <= solver.MAX_MO_STEPS

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dabf import solver
 from dabf.channel import draw_channels
-from dabf.config import SolverOptions, SystemConfig
+from dabf.config import SystemConfig
 from dabf.distortion import power_match_scale, radiated_power, scale_to_power
 from dabf.gradients import NO_PENALTY, euclidean_gradient, moment_targets
 from dabf.metrics import weighted_objective
@@ -276,31 +279,32 @@ def test_inner_trace_non_decreasing_and_on_manifold():
     ch = draw_channels(cfg, np.random.default_rng(100))
     F0 = mrt_precoder(ch, cfg)
     m4, m6 = moment_targets(F0)
-    F, trace = manifold_cg(F0, m4, m6, ch, cfg, cfg.solver, -0.01, -0.01)
+    F, trace = manifold_cg(F0, m4, m6, ch, cfg, -0.01, -0.01)
     assert np.all(np.diff(trace) >= 0)
     c1 = sphere_radius_sq(m4, m6, cfg)
     assert abs(np.real(np.vdot(F, F)) - c1) <= 1e-10 * c1
 
 
-def test_inner_returns_immediately_at_stationary_tolerance():
+def test_inner_returns_immediately_at_stationary_tolerance(monkeypatch):
     cfg = convergence_scale_config()
     ch = draw_channels(cfg, np.random.default_rng(101))
     F0 = mrt_precoder(ch, cfg)
     m4, m6 = moment_targets(F0)
-    loose = SolverOptions(mo_grad_tol_scale=1e6)
-    _, trace = manifold_cg(F0, m4, m6, ch, cfg, loose, -1.0, -1.0)
+    monkeypatch.setattr(solver, "GRAD_TOL_SCALE", 1e6)
+    _, trace = manifold_cg(F0, m4, m6, ch, cfg, -1.0, -1.0)
     assert len(trace) == 1
 
 
-def test_inner_final_gradient_small_when_converged():
+def test_inner_final_gradient_small_when_converged(monkeypatch):
     cfg = convergence_scale_config()
     ch = draw_channels(cfg, np.random.default_rng(102))
     F0 = mrt_precoder(ch, cfg)
     m4, m6 = moment_targets(F0)
-    opts = SolverOptions(max_mo_iters=3000, outer_tol=1e-300)  # disable the stall stop
-    F, _ = manifold_cg(F0, m4, m6, ch, cfg, opts, 0.0, 0.0)
+    monkeypatch.setattr(solver, "MAX_MO_STEPS", 3000)
+    monkeypatch.setattr(solver, "OUTER_TOL", 1e-300)  # disable the stall stop
+    F, _ = manifold_cg(F0, m4, m6, ch, cfg, 0.0, 0.0)
     grad = tangent_project(euclidean_gradient(F, NO_PENALTY, ch, cfg), F)
-    assert np.linalg.norm(grad) <= opts.mo_grad_tol(cfg.n_tx, cfg.n_users)
+    assert np.linalg.norm(grad) <= solver.GRAD_TOL_SCALE * math.sqrt(cfg.n_tx * cfg.n_users)
 
 
 # ------------------------------------------------------------------ full solve
@@ -335,7 +339,7 @@ def test_solve_objective_invariant_to_initial_phase():
     s2, _ = optimize_full_digital(ch, cfg, f_init=np.exp(0.9j) * F0)
     o1 = weighted_objective(s1.full_digital, ch, cfg)
     o2 = weighted_objective(s2.full_digital, ch, cfg)
-    assert abs(o1 - o2) <= 10 * cfg.solver.outer_tol * max(abs(o1), 1.0)
+    assert abs(o1 - o2) <= 10 * solver.OUTER_TOL * max(abs(o1), 1.0)
 
 
 def test_solve_aligned_single_user_is_collinear_with_channel():
@@ -390,7 +394,7 @@ def test_manifold_cg_rejects_exhausted_budget():
     huge = np.full(4, 100.0)
     assert sphere_radius_sq(huge, huge, cfg) < 0
     with pytest.raises(InfeasibleMomentBudget):
-        manifold_cg(F, huge, huge, ch, cfg, cfg.solver, -1.0, -1.0)
+        manifold_cg(F, huge, huge, ch, cfg, -1.0, -1.0)
 
 
 # --------------------------------------------------------- exact-budget ascent
@@ -433,7 +437,6 @@ def sphere_projected_oracle(events=None):
         lambda X: weighted_objective(X, ch, cfg),
         lambda X: euclidean_gradient(X, NO_PENALTY, ch, cfg),
         fit,
-        cfg.solver,
         events,
     )
     return cfg, ch, point, trace
@@ -446,43 +449,40 @@ def test_level_set_ascent_gains_where_sphere_projection_stops():
     events = {}
     cfg, ch, F, _ = sphere_projected_oracle(events)
     assert events.get("failed") == 1
-    _, trace, _ = _budget_ascent(None, F, ch, cfg, cfg.solver, cfg.solver.max_mo_iters)
-    assert trace[-1] - trace[0] > cfg.solver.outer_tol * abs(trace[-1])
+    _, trace, _ = _budget_ascent(None, F, ch, cfg, solver.MAX_MO_STEPS)
+    assert trace[-1] - trace[0] > solver.OUTER_TOL * abs(trace[-1])
 
 
 # ---------------------------------------------------------------- stop reasons
 
 
-def test_ascent_stops_on_gradient_tolerance():
+def test_ascent_stops_on_gradient_tolerance(monkeypatch):
     cfg, ch = desk_instance(634, BETA3)
-    loose = SolverOptions(mo_grad_tol_scale=1e6)
-    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, loose, loose.max_design_steps)
+    monkeypatch.setattr(solver, "GRAD_TOL_SCALE", 1e6)
+    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, solver.MAX_DESIGN_STEPS)
     assert stop == "gradient" and len(trace) == 1
 
 
 def test_ascent_stops_on_stall():
     cfg, ch = desk_instance(634, BETA3)
-    opts = cfg.solver
-    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, opts, opts.max_design_steps)
-    assert stop == "stall" and 10 < len(trace) <= opts.max_design_steps
-    assert trace[-1] - trace[-11] < opts.outer_tol / 10.0 * abs(trace[-1])
+    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, solver.MAX_DESIGN_STEPS)
+    assert stop == "stall" and 10 < len(trace) <= solver.MAX_DESIGN_STEPS
+    assert trace[-1] - trace[-11] < solver.OUTER_TOL / 10.0 * abs(trace[-1])
 
 
 def test_ascent_stops_on_failed_line_search(monkeypatch):
     # With the sphere's normal in place of the budget's, the engine ends on
     # the failed line search of the level-set test, at the oracle's point.
-    import dabf.solver as solver_mod
-
     cfg, ch, ref_point, ref_trace = sphere_projected_oracle()
-    monkeypatch.setattr(solver_mod, "budget_normal", lambda X, F_A, config: X)
-    F, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, cfg.solver, cfg.solver.max_mo_iters)
-    assert stop == "line search" and len(trace) <= cfg.solver.max_mo_iters
+    monkeypatch.setattr(solver, "budget_normal", lambda X, F_A, config: X)
+    F, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, solver.MAX_MO_STEPS)
+    assert stop == "line search" and len(trace) <= solver.MAX_MO_STEPS
     assert np.array_equal(F, ref_point) and np.array_equal(trace, ref_trace)
 
 
 def test_ascent_stops_at_cap():
     cfg, ch = desk_instance(634, BETA3)
-    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, cfg.solver, 3)
+    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, 3)
     assert stop == "cap" and len(trace) == 4
 
 
@@ -506,16 +506,14 @@ def desk_instance(seed, beta3):
 def test_linear_solve_runs_no_alternation(monkeypatch):
     # The exact-budget ascent is the whole solve, for a linear amplifier (whose
     # budget is the sphere |beta1|^2 ||F||^2 = p_tot) and a cubic one alike.
-    import dabf.solver as solver_mod
-
     calls = {"n": 0}
-    real_cg = solver_mod.manifold_cg
+    real_cg = solver.manifold_cg
 
     def counted_cg(*args, **kwargs):
         calls["n"] += 1
         return real_cg(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "manifold_cg", counted_cg)
+    monkeypatch.setattr(solver, "manifold_cg", counted_cg)
     for beta3 in (0j, BETA3):
         cfg, ch = desk_instance(630, beta3)
         _, diag = optimize_full_digital(ch, cfg)
@@ -529,16 +527,14 @@ AMPLIFIERS = pytest.mark.parametrize("beta3", [0j, BETA3], ids=["linear", "cubic
 @AMPLIFIERS
 @pytest.mark.parametrize("given", [False, True])
 def test_design_is_one_budget_ascent(monkeypatch, given, beta3):
-    import dabf.solver as solver_mod
-
     ascents = []
-    real_ascent = solver_mod._budget_ascent
+    real_ascent = solver._budget_ascent
 
     def counted(*args, **kwargs):
         ascents.append(real_ascent(*args, **kwargs))
         return ascents[-1]
 
-    monkeypatch.setattr(solver_mod, "_budget_ascent", counted)
+    monkeypatch.setattr(solver, "_budget_ascent", counted)
     cfg, ch = desk_instance(631, beta3)
     f_init = random_complex((cfg.n_tx, cfg.n_users), 632) if given else None
     state, diag = optimize_full_digital(ch, cfg, f_init=f_init)
@@ -563,9 +559,11 @@ def test_design_is_on_budget_and_beats_matched_filter(seed, beta3):
 
 
 @AMPLIFIERS
-def test_design_out_of_steps_is_not_converged(beta3):
+def test_design_out_of_steps_is_not_converged(beta3, monkeypatch):
     cfg, ch = desk_instance(633, beta3)
-    _, diag = optimize_full_digital(ch, cfg, SolverOptions(max_design_steps=5))
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "MAX_DESIGN_STEPS", 5)
+        _, diag = optimize_full_digital(ch, cfg)
     assert diag.stop == "cap" and len(diag.trace) == 6 and diag.converged is False
     _, diag = optimize_full_digital(ch, cfg)
     assert diag.stop in ("gradient", "stall") and diag.converged is True
