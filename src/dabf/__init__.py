@@ -26,15 +26,7 @@ from .solver import (
     update_sextic_moment,
 )
 from .baselines import mrt_precoder, pa_blind_precoder, rbf_precoder, zf_precoder
-from .experiments import (
-    ExperimentError,
-    ExperimentSpec,
-    run_beam_pattern,
-    run_convergence,
-    run_experiment,
-    run_sweep_nonlinearity,
-    run_sweep_snr,
-)
+from .experiments import ExperimentError, ExperimentSpec, run_experiment
 
 __all__ = [
     "ChannelRealization",
@@ -71,11 +63,7 @@ __all__ = [
     "rbf_precoder",
     "refine_digital",
     "retract",
-    "run_beam_pattern",
-    "run_convergence",
     "run_experiment",
-    "run_sweep_nonlinearity",
-    "run_sweep_snr",
     "scale_to_power",
     "sphere_radius_sq",
     "steering_vector",

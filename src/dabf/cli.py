@@ -1,9 +1,11 @@
 """Command-line entry points and experiment-config ingestion.
 
-Config files are YAML with nested sections; unknown keys are rejected so a
-typo cannot silently fall back to a default. Every value has a per-experiment
-default taken from the reference operating points, so the minimal config is
-just the experiment kind (or nothing at all when using the subcommands).
+Config files are YAML with nested sections. Unknown keys, values of the
+wrong type and sections or flags the experiment does not read are rejected,
+so a typo cannot silently fall back to a default. The subcommands and every
+per-experiment default (the reference operating points) come from
+``experiments.KINDS``, so the minimal config is just the experiment kind (or
+nothing at all when using the subcommands).
 """
 
 from __future__ import annotations
@@ -12,63 +14,14 @@ import argparse
 import sys
 from typing import Any
 
-import numpy as np
 import yaml
 
-from .config import ConfigError, SystemConfig, dbm_to_mw, noise_from_snr, require_int
-from .experiments import EXPERIMENT_KINDS, SCHEMES, ExperimentError, ExperimentSpec, run_experiment
+from .config import ConfigError, SystemConfig, dbm_to_mw, noise_from_snr, require_int, require_real
+from .experiments import KINDS, ExperimentError, ExperimentSpec, run_experiment
 
-_SUBCOMMANDS = {
-    "sweep-nonlin": "sweep_nonlinearity",
-    "sweep-snr": "sweep_snr",
-    "convergence": "convergence",
-    "beam-pattern": "beam_pattern",
-}
-
-_SYSTEM_DEFAULTS: dict[str, dict[str, Any]] = {
-    "sweep_nonlinearity": dict(n_tx=64, n_rf=16, n_users=2, n_paths=5, p_tot_dbm=13.0, snr_db=20.0),
-    "sweep_snr": dict(n_tx=64, n_rf=16, n_users=2, n_paths=5, p_tot_dbm=13.0, snr_db=20.0),
-    "convergence": dict(n_tx=16, n_rf=4, n_users=2, n_paths=3, p_tot_dbm=13.0, snr_db=20.0),
-    "beam_pattern": dict(n_tx=16, n_rf=4, n_users=1, n_paths=1, p_tot_dbm=20.0, snr_db=25.0),
-}
-
-_GRID_DEFAULTS: dict[str, list[float]] = {
-    "sweep_nonlinearity": [round(0.025 * i, 6) for i in range(13)],  # 0 .. 0.30
-    "sweep_snr": [float(v) for v in range(-20, 30, 5)],
-    "convergence": [0.0, 10.0, 20.0],
-    "beam_pattern": [106.0],
-}
-
-_REALIZATION_DEFAULTS = {
-    "sweep_nonlinearity": 1000,
-    "sweep_snr": 1000,
-    "convergence": 100,
-    "beam_pattern": 1,
-}
-
-_SCHEME_DEFAULTS = {
-    "sweep_nonlinearity": list(SCHEMES),
-    "sweep_snr": list(SCHEMES),
-    "convergence": ["proposed_known"],
-    "beam_pattern": ["proposed_known", "mrt"],
-}
-
-_SYSTEM_KEYS = {
-    "n_tx",
-    "n_rf",
-    "n_users",
-    "n_paths",
-    "p_tot_dbm",
-    "snr_db",
-    "noise_user_mw",
-    "noise_sense_mw",
-    "weight_comm",
-    "weight_sense",
-    "beta1",
-    "beta3",
-    "target_angle_deg",
-    "target_gain",
-}
+_COMPLEX_KEYS = {"beta1", "beta3", "target_gain"}
+_REAL_KEYS = {"p_tot_dbm", "snr_db", "noise_sense_mw", "weight_comm", "weight_sense", "target_angle_deg"}
+_SYSTEM_KEYS = {"n_tx", "n_rf", "n_users", "n_paths", "noise_user_mw"} | _COMPLEX_KEYS | _REAL_KEYS
 
 _TOP_KEYS = {"experiment", "system", "sweep", "beam", "output", "schemes", "seed", "workers"}
 
@@ -90,11 +43,13 @@ def _as_complex(value: Any, key: str) -> complex:
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse complex value {value!r}") from exc
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(require_real(value[0], f"{key}[0]"), require_real(value[1], f"{key}[1]"))
     raise ConfigError(f"{key}: expected number, 're+imj' string, or [re, im] pair, got {value!r}")
 
 
-def _load_yaml(path: str) -> dict:
+def _load_yaml(path: str | None) -> dict:
+    if path is None:
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -118,53 +73,58 @@ def build_spec(
     realizations: int | None = None,
 ) -> ExperimentSpec:
     """Resolve a config mapping plus overrides into a validated spec."""
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    defaults = KINDS[kind]
     raw = dict(raw or {})
     _reject_unknown(raw, _TOP_KEYS, "config root")
     declared = raw.get("experiment")
     if declared is not None and declared != kind:
         raise ConfigError(f"config declares experiment {declared!r} but {kind!r} was requested")
+    for section in ("sweep", "beam"):
+        if section in raw and section != defaults.section:
+            raise ConfigError(f"{kind} does not read the {section} section")
+    if realizations is not None and defaults.section != "sweep":
+        raise ConfigError(f"{kind} does not read realizations: it runs once")
 
     system_raw = dict(raw.get("system") or {})
     _reject_unknown(system_raw, _SYSTEM_KEYS, "system section")
-    merged = dict(_SYSTEM_DEFAULTS[kind])
+    merged = dict(defaults.system)
     merged.update(system_raw)
+    for key, value in merged.items():
+        if key in _COMPLEX_KEYS:
+            merged[key] = _as_complex(value, key)
+        elif key in _REAL_KEYS:
+            merged[key] = require_real(value, key)
 
-    p_tot = dbm_to_mw(float(merged.pop("p_tot_dbm")))
-    snr_db = float(merged.pop("snr_db"))
-    noise_user = merged.pop("noise_user_mw", None)
-    noise_sense = merged.pop("noise_sense_mw", None)
-    if noise_user is None:
-        noise_user = noise_from_snr(p_tot, snr_db)
-    if noise_sense is None:
-        noise_sense = noise_from_snr(p_tot, snr_db)
-    for key in ("beta1", "beta3", "target_gain"):
-        if key in merged:
-            merged[key] = _as_complex(merged[key], key)
-
+    p_tot = dbm_to_mw(merged.pop("p_tot_dbm"))
+    noise = noise_from_snr(p_tot, merged.pop("snr_db"))
+    noise_user = merged.pop("noise_user_mw", noise)
+    noise_sense = merged.pop("noise_sense_mw", noise)
+    users = noise_user if isinstance(noise_user, (list, tuple)) else [noise_user]
     system = SystemConfig(
         p_tot=p_tot,
-        noise_user=tuple(np.atleast_1d(np.asarray(noise_user, dtype=float))),
-        noise_sense=float(noise_sense),
+        noise_user=tuple(require_real(v, "noise_user_mw") for v in users),
+        noise_sense=noise_sense,
         **merged,
     )
 
     sweep_raw = dict(raw.get("sweep") or {})
     _reject_unknown(sweep_raw, {"grid", "realizations"}, "sweep section")
-    grid_raw = sweep_raw.get("grid", _GRID_DEFAULTS[kind])
+    grid_raw = sweep_raw.get("grid", defaults.grid)
     if any(isinstance(v, bool) for v in grid_raw):
         raise ConfigError(f"grid values must be numbers, got {grid_raw!r}")
     grid = [float(v) for v in grid_raw]
-    n_real = sweep_raw.get("realizations", _REALIZATION_DEFAULTS[kind])
+    n_real = sweep_raw.get("realizations", defaults.realizations)
 
     beam_raw = dict(raw.get("beam") or {})
     _reject_unknown(beam_raw, {"user_angle_deg", "angle_step_deg"}, "beam section")
+    beam = {key: require_real(value, key) for key, value in beam_raw.items()}
 
     output_raw = dict(raw.get("output") or {})
     _reject_unknown(output_raw, {"dir"}, "output section")
 
-    schemes = raw.get("schemes", _SCHEME_DEFAULTS[kind])
+    schemes = raw.get("schemes", defaults.schemes)
     if isinstance(schemes, str):
         schemes = [schemes]
 
@@ -177,16 +137,16 @@ def build_spec(
         schemes=tuple(schemes),
         workers=require_int(workers if workers is not None else raw.get("workers", 1), "workers"),
         seed=require_int(seed if seed is not None else raw.get("seed", 0), "seed"),
-        user_angle_deg=float(beam_raw.get("user_angle_deg", 106.0)),
-        angle_step_deg=float(beam_raw.get("angle_step_deg", 0.25)),
+        **beam,
     )
 
 
-def parse_config(path: str, kind: str | None = None, **overrides) -> ExperimentSpec:
+def parse_config(path: str | None, kind: str | None = None, **overrides) -> ExperimentSpec:
     """Load a YAML experiment config into a fully validated spec.
 
     ``kind`` (usually from the CLI subcommand) takes precedence; a config
-    lacking the ``experiment`` key must be given one.
+    lacking the ``experiment`` key must be given one. No ``path`` is an
+    empty config.
     """
     raw = _load_yaml(path)
     if kind is None:
@@ -202,24 +162,23 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Distortion-aware hybrid beamforming experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, kind in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=f"run the {kind} experiment")
+    for name, kind in KINDS.items():
+        p = sub.add_parser(kind.command, help=f"run the {name} experiment")
         p.add_argument("--config", type=str, default=None, help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed override")
         p.add_argument("--out", type=str, default=None, help="output directory override")
         p.add_argument("--workers", type=int, default=None, help="parallel worker count")
         p.add_argument("--realizations", type=int, default=None, help="channel realization count")
-        p.set_defaults(kind=kind)
+        p.set_defaults(kind=name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        raw = _load_yaml(args.config) if args.config else {}
-        spec = build_spec(
+        spec = parse_config(
+            args.config,
             args.kind,
-            raw,
             seed=args.seed,
             out_dir=args.out,
             workers=args.workers,

@@ -29,6 +29,13 @@ def require_int(value, key: str) -> int:
     return int(value)
 
 
+def require_real(value, key: str) -> float:
+    """``value`` as a float; a string or a boolean raises a ``ConfigError`` naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a real number, got {value!r}")
+    return float(value)
+
+
 def noise_from_snr(p_tot_mw: float, snr_db: float) -> float:
     """Noise power N0 [mW] for a given total power and SNR = P_tot/N0."""
     return p_tot_mw / 10.0 ** (snr_db / 10.0)

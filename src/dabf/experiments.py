@@ -1,12 +1,15 @@
-"""Batch experiment runners: ergodic sweeps, convergence traces, beam patterns.
+"""Experiment kinds, their realization tasks and the one result writer.
 
-Every runner fans out over seeded channel realizations (optionally across a
-process pool), reduces in realization order, and writes one UTF-8 CSV per
-experiment plus a manifest of the fully resolved parameters. Reruns with the
-same configuration and seed produce byte-identical files regardless of the
-worker count. A design or evaluation that raises inside a realization task
-surfaces as an ``ExperimentError`` naming the seed, realization, scheme and
-grid point.
+``KINDS`` holds every fact of each experiment kind: its CLI subcommand, its
+output file stem, its grid column, its reference-point defaults and the
+function that turns a spec into CSV rows. ``run_experiment`` is the only
+place that writes results: one UTF-8 CSV per experiment plus a manifest of
+the fully resolved parameters. The pooled kinds fan out over seeded channel
+realizations (optionally across a process pool) and reduce in realization
+order, so reruns with the same configuration and seed produce byte-identical
+data rows regardless of the worker count. A design or evaluation that raises
+inside a realization task surfaces as an ``ExperimentError`` naming the
+seed, realization, scheme and grid point.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,11 +31,9 @@ from .metrics import evaluate_metrics, probe_powers
 from .solver import first_mo_trace, optimize_full_digital
 
 SCHEMES = ("proposed_known", "proposed_unknown", "mrt", "zf", "rbf")
-EXPERIMENT_KINDS = ("sweep_nonlinearity", "sweep_snr", "convergence", "beam_pattern")
 
 DB_FLOOR = -200.0
 ANGLE_MAX_DEG = 180.0
-GRID_COLUMNS = {"sweep_nonlinearity": "rho", "sweep_snr": "snr_db", "convergence": "snr_db"}
 
 
 class ExperimentError(RuntimeError):
@@ -54,7 +56,7 @@ class ExperimentSpec:
     angle_step_deg: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.realizations < 1:
             raise ConfigError("realizations must be at least 1")
@@ -73,6 +75,8 @@ class ExperimentSpec:
                 raise ConfigError(f"scheme {s!r} is listed twice")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.angle_step_deg <= 10.0:
             raise ConfigError("angle_step_deg must lie in (0, 10]")
 
@@ -85,7 +89,7 @@ def _failure_context(spec: ExperimentSpec, index: int, scheme: str, value: float
     except Exception as exc:
         raise ExperimentError(
             f"{spec.kind} failed at seed {spec.seed}, realization {index}, scheme {scheme}, "
-            f"{GRID_COLUMNS[spec.kind]} = {value!r}: {type(exc).__name__}: {exc}"
+            f"{KINDS[spec.kind].column} = {value!r}: {type(exc).__name__}: {exc}"
         ) from exc
 
 
@@ -101,6 +105,15 @@ def scaled_cubic_coefficient(beta1: complex, beta3: complex, rho: float) -> comp
     if beta3 == 0:
         raise ConfigError("cannot scale the cubic coefficient: base beta3 is zero")
     return rho * abs(beta1) * (beta3 / abs(beta3))
+
+
+def _grid_config(spec: ExperimentSpec, value: float) -> SystemConfig:
+    """The system at one grid point: cubic coefficient scaled to rho, or noise set to p_tot / SNR."""
+    base = spec.system
+    if spec.kind == "sweep_nonlinearity":
+        return base.with_updates(beta3=scaled_cubic_coefficient(base.beta1, base.beta3, value))
+    noise = noise_from_snr(base.p_tot, value)
+    return base.with_updates(noise_user=noise, noise_sense=noise)
 
 
 def _known_pa_hybrid(
@@ -186,11 +199,7 @@ def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
 
     out = np.zeros((len(spec.grid), len(spec.schemes), 2))
     for gi, value in enumerate(spec.grid):
-        if spec.kind == "sweep_nonlinearity":
-            cfg = base.with_updates(beta3=scaled_cubic_coefficient(base.beta1, base.beta3, value))
-        else:  # sweep_snr
-            noise = noise_from_snr(base.p_tot, value)
-            cfg = base.with_updates(noise_user=noise, noise_sense=noise)
+        cfg = _grid_config(spec, value)
         for si, scheme in enumerate(spec.schemes):
             with _failure_context(spec, index, scheme, value):
                 report = evaluate_metrics(channels, hybrid(scheme, cfg), cfg)
@@ -199,99 +208,39 @@ def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
     return out
 
 
-def _map_over_realizations(spec: ExperimentSpec, task, payloads) -> list:
-    if spec.workers == 1:
+def _convergence_one_realization(args: tuple[ExperimentSpec, int]) -> list[np.ndarray]:
+    spec, index = args
+    channels = draw_channels(spec.system, realization_rng(spec.seed, index, 0))
+    traces = []
+    for snr_db in spec.grid:
+        cfg = _grid_config(spec, snr_db)
+        with _failure_context(spec, index, "proposed_known", snr_db):
+            traces.append(first_mo_trace(channels, cfg))
+    return traces
+
+
+def _map_over_realizations(spec: ExperimentSpec, task) -> list:
+    """``task((spec, index))`` for every realization, in realization order."""
+    payloads = [(spec, index) for index in range(spec.realizations)]
+    workers = min(spec.workers, len(payloads))  # a pool forks all its workers at the first submit
+    if workers == 1:
         return [task(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, payloads))
 
 
-def _format_value(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_csv(path: str, comments: list[str], header: list[str], rows: list[list]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in comments:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_value(v) for v in row) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write CSV {path!r}: {exc}") from exc
-
-
-def _resolved_comment(spec: ExperimentSpec) -> str:
-    payload = dataclasses.asdict(spec)
-    payload["system"]["beta1"] = str(spec.system.beta1)
-    payload["system"]["beta3"] = str(spec.system.beta3)
-    payload["system"]["target_gain"] = str(spec.system.target_gain)
-    return f"config: {payload}"
-
-
-def _write_manifest(spec: ExperimentSpec, out_name: str) -> None:
-    path = os.path.join(spec.out_dir, f"{out_name}-manifest.txt")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"experiment: {spec.kind}\n")
-            fh.write(f"seed: {spec.seed}\n")
-            fh.write(f"workers: {spec.workers}\n")
-            fh.write(f"realizations: {spec.realizations}\n")
-            fh.write(f"grid: {list(spec.grid)}\n")
-            fh.write(f"schemes: {list(spec.schemes)}\n")
-            fh.write(f"system: {spec.system}\n")
-            if spec.kind == "beam_pattern":
-                fh.write(f"user_angle_deg: {spec.user_angle_deg}\n")
-                fh.write(f"angle_step_deg: {spec.angle_step_deg}\n")
-    except OSError as exc:
-        raise OSError(f"failed to write manifest {path!r}: {exc}") from exc
-
-
-def _run_sweep(spec: ExperimentSpec, grid_column: str, out_name: str) -> str:
-    os.makedirs(spec.out_dir, exist_ok=True)
-    payloads = [(spec, i) for i in range(spec.realizations)]
-    per_real = _map_over_realizations(spec, _sweep_one_realization, payloads)
-    stacked = np.stack(per_real)  # (realizations, grid, schemes, 2)
-    means = stacked.mean(axis=0)
-
+def _sweep_rows(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
+    """Ergodic weighted sum rate and radiated power per (grid point, scheme)."""
+    per_real = _map_over_realizations(spec, _sweep_one_realization)
+    means = np.stack(per_real).mean(axis=0)  # (grid, schemes, 2)
     rows = []
     for gi, value in enumerate(spec.grid):
         for si, scheme in enumerate(spec.schemes):
             rows.append(
                 [float(value), scheme, float(means[gi, si, 0]), float(means[gi, si, 1]), spec.realizations]
             )
-    header = [grid_column, "scheme", "mean_sum_rate_bits", "mean_radiated_power_mw", "realizations"]
-    path = os.path.join(spec.out_dir, f"{out_name}.csv")
-    _write_csv(path, [_resolved_comment(spec), f"seed: {spec.seed}"], header, rows)
-    _write_manifest(spec, out_name)
-    return path
-
-
-def run_sweep_nonlinearity(spec: ExperimentSpec) -> str:
-    """Ergodic weighted sum rate vs. cubic-to-linear PA coefficient ratio."""
-    return _run_sweep(spec, GRID_COLUMNS[spec.kind], "sweep_nonlin")
-
-
-def run_sweep_snr(spec: ExperimentSpec) -> str:
-    """Ergodic weighted sum rate vs. SNR (noise set to p_tot / SNR)."""
-    return _run_sweep(spec, GRID_COLUMNS[spec.kind], "sweep_snr")
-
-
-def _convergence_one_realization(args: tuple[ExperimentSpec, int]) -> list[np.ndarray]:
-    spec, index = args
-    channels_rng = realization_rng(spec.seed, index, 0)
-    base = spec.system
-    channels = draw_channels(base, channels_rng)
-    traces = []
-    for snr_db in spec.grid:
-        noise = noise_from_snr(base.p_tot, snr_db)
-        cfg = base.with_updates(noise_user=noise, noise_sense=noise)
-        with _failure_context(spec, index, "proposed_known", snr_db):
-            traces.append(first_mo_trace(channels, cfg))
-    return traces
+    column = KINDS[spec.kind].column
+    return [column, "scheme", "mean_sum_rate_bits", "mean_radiated_power_mw", "realizations"], rows
 
 
 def average_padded(traces: list[np.ndarray]) -> np.ndarray:
@@ -301,22 +250,15 @@ def average_padded(traces: list[np.ndarray]) -> np.ndarray:
     return padded.mean(axis=0)
 
 
-def run_convergence(spec: ExperimentSpec) -> str:
-    """Average the first manifold-ascent objective trace per SNR grid point."""
-    os.makedirs(spec.out_dir, exist_ok=True)
-    payloads = [(spec, i) for i in range(spec.realizations)]
-    per_real = _map_over_realizations(spec, _convergence_one_realization, payloads)
-
+def _convergence_rows(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
+    """The first manifold-ascent objective trace per SNR grid point, averaged over realizations."""
+    per_real = _map_over_realizations(spec, _convergence_one_realization)
     rows = []
     for si, snr_db in enumerate(spec.grid):
         averaged = average_padded([per_real[r][si] for r in range(spec.realizations)])
         for it, value in enumerate(averaged):
             rows.append([it, float(snr_db), float(value)])
-    header = ["iteration", "snr_db", "mean_objective"]
-    path = os.path.join(spec.out_dir, "convergence.csv")
-    _write_csv(path, [_resolved_comment(spec), f"seed: {spec.seed}"], header, rows)
-    _write_manifest(spec, "convergence")
-    return path
+    return ["iteration", KINDS[spec.kind].column, "mean_objective"], rows
 
 
 def deterministic_single_path_channel(cfg: SystemConfig, user_angle_deg: float) -> ChannelRealization:
@@ -345,9 +287,8 @@ def beam_patterns(F: np.ndarray, cfg: SystemConfig, angles_deg: np.ndarray) -> t
     return to_db(linear), to_db(nonlinear)
 
 
-def run_beam_pattern(spec: ExperimentSpec) -> str:
-    """Linear and distortion beam patterns for the optimizer and the matched filter."""
-    os.makedirs(spec.out_dir, exist_ok=True)
+def _beam_pattern_rows(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
+    """Linear and distortion beam patterns of each scheme's hybrid on a single-path channel."""
     cfg = spec.system
     channels = deterministic_single_path_channel(cfg, spec.user_angle_deg)
     angles = np.arange(0.0, ANGLE_MAX_DEG + spec.angle_step_deg / 2, spec.angle_step_deg)
@@ -358,20 +299,95 @@ def run_beam_pattern(spec: ExperimentSpec) -> str:
         lin_db, nl_db = beam_patterns(hybrid(scheme, cfg), cfg, angles)
         for a, ld, nd in zip(angles, lin_db, nl_db):
             rows.append([float(a), scheme, float(ld), float(nd)])
-    header = ["angle_deg", "scheme", "linear_db", "nonlinear_db"]
-    path = os.path.join(spec.out_dir, "beam_pattern.csv")
-    _write_csv(path, [_resolved_comment(spec), f"seed: {spec.seed}"], header, rows)
-    _write_manifest(spec, "beam_pattern")
-    return path
+    return ["angle_deg", "scheme", "linear_db", "nonlinear_db"], rows
 
 
-RUNNERS = {
-    "sweep_nonlinearity": run_sweep_nonlinearity,
-    "sweep_snr": run_sweep_snr,
-    "convergence": run_convergence,
-    "beam_pattern": run_beam_pattern,
+@dataclass(frozen=True)
+class ExperimentKind:
+    """Every fact of one experiment kind; ``rows`` turns its spec into ``(header, rows)``.
+
+    ``system`` holds config-file keys (dBm, dB). ``section`` is the config
+    section, besides the common ones, that the kind reads: ``sweep`` (grid
+    and realizations) or ``beam`` (angles). The row builders look up the
+    realization tasks when called, so a task replaced on this module (as
+    ``bench/capture.py`` does) is the one that runs.
+    """
+
+    command: str
+    stem: str
+    column: str | None
+    rows: Callable[[ExperimentSpec], tuple[list[str], list[list]]]
+    system: dict
+    grid: tuple[float, ...]
+    realizations: int
+    schemes: tuple[str, ...]
+    section: str
+
+
+_REFERENCE_ARRAY = dict(n_tx=64, n_rf=16, n_users=2, n_paths=5, p_tot_dbm=13.0, snr_db=20.0)
+
+KINDS = {
+    "sweep_nonlinearity": ExperimentKind(
+        command="sweep-nonlin", stem="sweep_nonlin", column="rho", rows=_sweep_rows,
+        system=_REFERENCE_ARRAY, grid=tuple(round(0.025 * i, 6) for i in range(13)),  # 0 .. 0.30
+        realizations=1000, schemes=SCHEMES, section="sweep",
+    ),
+    "sweep_snr": ExperimentKind(
+        command="sweep-snr", stem="sweep_snr", column="snr_db", rows=_sweep_rows,
+        system=_REFERENCE_ARRAY, grid=tuple(float(v) for v in range(-20, 30, 5)),
+        realizations=1000, schemes=SCHEMES, section="sweep",
+    ),
+    "convergence": ExperimentKind(
+        command="convergence", stem="convergence", column="snr_db", rows=_convergence_rows,
+        system=dict(n_tx=16, n_rf=4, n_users=2, n_paths=3, p_tot_dbm=13.0, snr_db=20.0), grid=(0.0, 10.0, 20.0),
+        realizations=100, schemes=("proposed_known",), section="sweep",
+    ),
+    "beam_pattern": ExperimentKind(
+        command="beam-pattern", stem="beam_pattern", column=None, rows=_beam_pattern_rows,
+        system=dict(n_tx=16, n_rf=4, n_users=1, n_paths=1, p_tot_dbm=20.0, snr_db=25.0), grid=(106.0,),
+        realizations=1, schemes=("proposed_known", "mrt"), section="beam",
+    ),
 }
 
 
+def _resolved_comment(spec: ExperimentSpec) -> str:
+    payload = dataclasses.asdict(spec)
+    payload["system"]["beta1"] = str(spec.system.beta1)
+    payload["system"]["beta3"] = str(spec.system.beta3)
+    payload["system"]["target_gain"] = str(spec.system.target_gain)
+    return f"config: {payload}"
+
+
+def _write_lines(path: str, lines: list[str], what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    except OSError as exc:
+        raise OSError(f"failed to write {what} {path!r}: {exc}") from exc
+
+
 def run_experiment(spec: ExperimentSpec) -> str:
-    return RUNNERS[spec.kind](spec)
+    """Run ``spec``; write ``<stem>.csv`` and ``<stem>-manifest.txt`` in ``spec.out_dir``.
+
+    The CSV holds two comment lines (the resolved configuration and the
+    seed), the header and the rows. Returns the CSV path.
+    """
+    kind = KINDS[spec.kind]
+    os.makedirs(spec.out_dir, exist_ok=True)
+    header, rows = kind.rows(spec)
+    path = os.path.join(spec.out_dir, f"{kind.stem}.csv")
+    csv = [f"# {_resolved_comment(spec)}", f"# seed: {spec.seed}", ",".join(header)]
+    _write_lines(path, csv + [",".join(map(str, row)) for row in rows], "CSV")
+    manifest = [
+        f"experiment: {spec.kind}",
+        f"seed: {spec.seed}",
+        f"workers: {spec.workers}",
+        f"realizations: {spec.realizations}",
+        f"grid: {list(spec.grid)}",
+        f"schemes: {list(spec.schemes)}",
+        f"system: {spec.system}",
+    ]
+    if kind.section == "beam":
+        manifest += [f"user_angle_deg: {spec.user_angle_deg}", f"angle_step_deg: {spec.angle_step_deg}"]
+    _write_lines(os.path.join(spec.out_dir, f"{kind.stem}-manifest.txt"), manifest, "manifest")
+    return path

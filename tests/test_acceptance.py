@@ -14,12 +14,7 @@ from dabf.cli import build_spec
 from dabf.config import SystemConfig, dbm_to_mw, noise_from_snr
 from dabf.decomposition import analog_from_phases, decompose
 from dabf.distortion import bussgang_gain_diag, radiated_power
-from dabf.experiments import (
-    ExperimentSpec,
-    run_beam_pattern,
-    run_convergence,
-    run_sweep_nonlinearity,
-)
+from dabf.experiments import ExperimentSpec, run_experiment
 from dabf.gradients import NO_PENALTY, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from dabf.solver import optimize_full_digital, sphere_radius_sq, update_quartic_moment, update_sextic_moment
 import oracles
@@ -270,7 +265,7 @@ def test_criterion_6ab_nonlinearity_sweep_orderings(tmp_path, desk_scale_system)
         workers=2,
         seed=42,
     )
-    _, rows = read_csv(run_sweep_nonlinearity(spec_main))
+    _, rows = read_csv(run_experiment(spec_main))
     mean = {(float(r[0]), r[1]): float(r[2]) for r in rows}
 
     known_hi, unknown_hi = mean[(0.25, "proposed_known")], mean[(0.25, "proposed_unknown")]
@@ -301,7 +296,7 @@ def _rbf_flatness(system: SystemConfig, out_dir: str, realizations: int) -> tupl
         workers=2,
         seed=42,
     )
-    _, rows = read_csv(run_sweep_nonlinearity(spec))
+    _, rows = read_csv(run_experiment(spec))
     vals = {(float(r[0]), r[1]): float(r[2]) for r in rows}
     mrt_curve = [vals[(g, "mrt")] for g in spec.grid]
     rbf_curve = [vals[(g, "rbf")] for g in spec.grid]
@@ -358,7 +353,7 @@ def test_criterion_7_convergence_faster_at_low_snr(tmp_path):
         workers=2,
         seed=7,
     )
-    _, rows = read_csv(run_convergence(spec))
+    _, rows = read_csv(run_experiment(spec))
     iters_to_99 = {}
     monotone = True
     for snr in (0.0, 10.0, 20.0):
@@ -378,7 +373,7 @@ def test_criterion_7_convergence_faster_at_low_snr(tmp_path):
 
 def test_criterion_8_beam_pattern_notches(tmp_path):
     spec = build_spec("beam_pattern", {"output": {"dir": str(tmp_path)}}, seed=0, workers=1)
-    _, rows = read_csv(run_beam_pattern(spec))
+    _, rows = read_csv(run_experiment(spec))
     pattern = {}
     for r in rows:
         pattern.setdefault(r[1], {})[float(r[0])] = (float(r[2]), float(r[3]))
@@ -415,8 +410,8 @@ def test_criterion_9_bitwise_deterministic_reruns(tmp_path, desk_scale_system):
         workers=1,
         seed=123,
     )
-    first = open(run_sweep_nonlinearity(spec), "rb").read()
-    second = open(run_sweep_nonlinearity(spec), "rb").read()
+    first = open(run_experiment(spec), "rb").read()
+    second = open(run_experiment(spec), "rb").read()
     ok = first == second
     report(
         "criterion 9 (bitwise-identical rerun)",

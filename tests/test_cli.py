@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -87,6 +88,58 @@ def test_non_integer_system_count_rejected(tmp_path, key, value):
 def test_non_integer_run_count_rejected(tmp_path, text, key):
     path = write(tmp_path, f"experiment: sweep_snr\n{text}\n")
     with pytest.raises(ConfigError, match=f"{key} must be an integer, got "):
+        parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "kind,text,key",
+    [
+        pytest.param("sweep_snr", "system: {p_tot_dbm: true}", "p_tot_dbm", id="p_tot_dbm-bool"),
+        pytest.param("sweep_snr", "system: {p_tot_dbm: '13'}", "p_tot_dbm", id="p_tot_dbm-numeric-string"),
+        pytest.param("sweep_snr", "system: {p_tot_dbm: abc}", "p_tot_dbm", id="p_tot_dbm-string"),
+        pytest.param("sweep_snr", "system: {snr_db: true}", "snr_db", id="snr_db-bool"),
+        pytest.param("sweep_snr", "system: {weight_comm: true}", "weight_comm", id="weight_comm-bool"),
+        pytest.param("sweep_snr", "system: {noise_user_mw: true}", "noise_user_mw", id="noise_user_mw-bool"),
+        pytest.param("sweep_snr", "system: {noise_user_mw: [0.1, true]}", "noise_user_mw", id="noise_user_mw-list"),
+        pytest.param("sweep_snr", "system: {noise_sense_mw: '0.1'}", "noise_sense_mw", id="noise_sense_mw-string"),
+        pytest.param("sweep_snr", "system: {target_angle_deg: true}", "target_angle_deg", id="target_angle_deg-bool"),
+        pytest.param("sweep_snr", "system: {beta3: [true, 0]}", "beta3[0]", id="beta3-pair-bool"),
+        pytest.param("sweep_snr", "system: {beta1: [a, 0]}", "beta1[0]", id="beta1-pair-string"),
+        pytest.param("sweep_snr", "system: {target_gain: [1.0, '0']}", "target_gain[1]", id="target_gain-pair-string"),
+        pytest.param("beam_pattern", "beam: {user_angle_deg: true}", "user_angle_deg", id="user_angle_deg-bool"),
+        pytest.param("beam_pattern", "beam: {angle_step_deg: true}", "angle_step_deg", id="angle_step_deg-bool"),
+    ],
+)
+def test_non_real_value_rejected(tmp_path, kind, text, key):
+    path = write(tmp_path, f"experiment: {kind}\n{text}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be a real number, got ")):
+        parse_config(path)
+
+
+def test_cli_negative_seed_exits_with_config_error(tmp_path, capsys):
+    code = main(["convergence", "--seed", "-1", "--realizations", "1", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_beam_pattern_rejects_sweep_section(tmp_path):
+    path = write(tmp_path, "experiment: beam_pattern\nsweep: {grid: [90.0], realizations: 7}\n")
+    with pytest.raises(ConfigError, match="beam_pattern does not read the sweep section"):
+        parse_config(path)
+
+
+def test_cli_beam_pattern_rejects_realizations_flag(tmp_path, capsys):
+    code = main(["beam-pattern", "--realizations", "7", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "beam_pattern does not read realizations" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("kind", ["sweep_nonlinearity", "sweep_snr", "convergence"])
+def test_pooled_kinds_reject_beam_section(tmp_path, kind):
+    path = write(tmp_path, f"experiment: {kind}\nbeam: {{user_angle_deg: 90.0}}\n")
+    with pytest.raises(ConfigError, match=f"{kind} does not read the beam section"):
         parse_config(path)
 
 

@@ -11,9 +11,7 @@ from dabf.experiments import (
     beam_patterns,
     deterministic_single_path_channel,
     realization_rng,
-    run_convergence,
-    run_sweep_nonlinearity,
-    run_sweep_snr,
+    run_experiment,
     scaled_cubic_coefficient,
 )
 
@@ -94,7 +92,7 @@ def test_spec_validation():
 
 def test_sweep_nonlinearity_csv_contract(tmp_path):
     spec = tiny_spec("sweep_nonlinearity", tmp_path)
-    path = run_sweep_nonlinearity(spec)
+    path = run_experiment(spec)
     comments, header, rows = read_csv(path)
     assert header == ["rho", "scheme", "mean_sum_rate_bits", "mean_radiated_power_mw", "realizations"]
     assert len(rows) == len(spec.grid) * len(spec.schemes)
@@ -105,16 +103,16 @@ def test_sweep_nonlinearity_csv_contract(tmp_path):
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
     spec = tiny_spec("sweep_nonlinearity", tmp_path)
-    first = open(run_sweep_nonlinearity(spec), "rb").read()
-    second = open(run_sweep_nonlinearity(spec), "rb").read()
+    first = open(run_experiment(spec), "rb").read()
+    second = open(run_experiment(spec), "rb").read()
     assert first == second
 
 
 def test_sweep_worker_count_does_not_change_output(tmp_path):
     spec_a = tiny_spec("sweep_nonlinearity", tmp_path / "w1", workers=1)
     spec_b = tiny_spec("sweep_nonlinearity", tmp_path / "w2", workers=2)
-    pa = run_sweep_nonlinearity(spec_a)
-    pb = run_sweep_nonlinearity(spec_b)
+    pa = run_experiment(spec_a)
+    pb = run_experiment(spec_b)
     a = [l for l in open(pa) if not l.startswith("#")]
     b = [l for l in open(pb) if not l.startswith("#")]
     assert a == b
@@ -123,7 +121,7 @@ def test_sweep_worker_count_does_not_change_output(tmp_path):
 def test_sweep_snr_noise_mapping(tmp_path):
     # At very low SNR, all schemes cluster near zero rate.
     spec = tiny_spec("sweep_snr", tmp_path, grid=(-20.0, 20.0), schemes=("mrt", "zf"))
-    path = run_sweep_snr(spec)
+    path = run_experiment(spec)
     _, _, rows = read_csv(path)
     low = [float(r[2]) for r in rows if float(r[0]) == -20.0]
     high = [float(r[2]) for r in rows if float(r[0]) == 20.0]
@@ -140,7 +138,7 @@ def test_proposed_schemes_coincide_without_nonlinearity(tmp_path):
         schemes=("proposed_known", "proposed_unknown"),
         realizations=2,
     )
-    path = run_sweep_nonlinearity(spec)
+    path = run_experiment(spec)
     _, _, rows = read_csv(path)
     assert rows[0][2:] == rows[1][2:]
 
@@ -161,6 +159,54 @@ def test_benchmark_capture_hooks_exist():
         assert callable(getattr(experiments, name, None)), name
 
 
+def test_benchmark_capture_hooks_replace_the_realization_tasks(tmp_path, monkeypatch):
+    # The row builders must look the tasks up when they run, so that the
+    # benchmark's replacements see every realization exactly once.
+    from dabf import experiments
+
+    calls = []
+    for name in ("_sweep_one_realization", "_convergence_one_realization"):
+
+        def counting(args, name=name, original=getattr(experiments, name)):
+            calls.append((name, args[1]))
+            return original(args)
+
+        monkeypatch.setattr(experiments, name, counting)
+    run_experiment(tiny_spec("sweep_snr", tmp_path / "sweep", realizations=3))
+    run_experiment(tiny_spec("convergence", tmp_path / "conv", schemes=("proposed_known",), realizations=2))
+    assert calls == [("_sweep_one_realization", i) for i in range(3)] + [
+        ("_convergence_one_realization", i) for i in range(2)
+    ]
+
+
+def test_pool_has_at_most_one_worker_per_realization(tmp_path, monkeypatch):
+    # A pool forks all its workers at the first submit; a stand-in executor
+    # records the requested size and maps in this process.
+    from dabf import experiments
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, payloads):
+            return map(task, payloads)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    pooled = run_experiment(tiny_spec("sweep_nonlinearity", tmp_path / "pooled", realizations=3, workers=8))
+    run_experiment(tiny_spec("sweep_nonlinearity", tmp_path / "single", realizations=1, workers=8))
+    serial = run_experiment(tiny_spec("sweep_nonlinearity", tmp_path / "serial", realizations=3, workers=1))
+    assert sizes == [3]
+    assert read_csv(pooled)[1:] == read_csv(serial)[1:]
+
+
 def test_average_padded_pads_with_last_value():
     t1 = np.array([1.0, 2.0, 3.0])
     t2 = np.array([2.0])
@@ -170,7 +216,7 @@ def test_average_padded_pads_with_last_value():
 
 def test_convergence_trace_csv(tmp_path):
     spec = tiny_spec("convergence", tmp_path, grid=(0.0, 20.0), schemes=("proposed_known",), realizations=3)
-    path = run_convergence(spec)
+    path = run_experiment(spec)
     _, header, rows = read_csv(path)
     assert header == ["iteration", "snr_db", "mean_objective"]
     for snr in (0.0, 20.0):
@@ -195,7 +241,7 @@ def test_distortion_awareness_gain_grows_with_snr(tmp_path):
         workers=2,
         seed=5,
     )
-    path = run_sweep_snr(spec)
+    path = run_experiment(spec)
     _, _, rows = read_csv(path)
     vals = {(float(r[0]), r[1]): float(r[2]) for r in rows}
     gap_low = vals[(0.0, "proposed_known")] - vals[(0.0, "proposed_unknown")]
@@ -226,8 +272,6 @@ def test_beam_patterns_clamped_and_shaped():
 
 
 def test_mrt_beam_pattern_peaks_at_user(tmp_path):
-    from dabf.experiments import run_beam_pattern
-
     cfg = desk_system(n_users=1, n_paths=1, n_tx=16, n_rf=4)
     spec = ExperimentSpec(
         kind="beam_pattern",
@@ -239,7 +283,7 @@ def test_mrt_beam_pattern_peaks_at_user(tmp_path):
         seed=0,
         user_angle_deg=106.0,
     )
-    path = run_beam_pattern(spec)
+    path = run_experiment(spec)
     _, _, rows = read_csv(path)
     angles = np.array([float(r[0]) for r in rows])
     lin = np.array([float(r[2]) for r in rows])
