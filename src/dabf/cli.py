@@ -47,6 +47,12 @@ def _as_complex(value: Any, key: str) -> complex:
     raise ConfigError(f"{key}: expected number, 're+imj' string, or [re, im] pair, got {value!r}")
 
 
+def _require_list(value: Any, key: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _load_yaml(path: str | None) -> dict:
     if path is None:
         return {}
@@ -111,10 +117,10 @@ def build_spec(
 
     sweep_raw = dict(raw.get("sweep") or {})
     _reject_unknown(sweep_raw, {"grid", "realizations"}, "sweep section")
-    grid_raw = sweep_raw.get("grid", defaults.grid)
+    grid_raw = _require_list(sweep_raw.get("grid", defaults.grid), "sweep grid")
     if any(isinstance(v, bool) for v in grid_raw):
         raise ConfigError(f"grid values must be numbers, got {grid_raw!r}")
-    grid = [float(v) for v in grid_raw]
+    grid = [require_real(v, f"grid[{i}]") for i, v in enumerate(grid_raw)]
     n_real = sweep_raw.get("realizations", defaults.realizations)
 
     beam_raw = dict(raw.get("beam") or {})
@@ -127,6 +133,7 @@ def build_spec(
     schemes = raw.get("schemes", defaults.schemes)
     if isinstance(schemes, str):
         schemes = [schemes]
+    schemes = _require_list(schemes, "schemes")
 
     return ExperimentSpec(
         kind=kind,

@@ -16,6 +16,8 @@ the power budget as the retraction in place of the sphere's.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .config import ConfigError, SystemConfig
@@ -97,7 +99,9 @@ def analog_feasibility_check(F_A: np.ndarray, n_tx: int, n_rf: int, tol: float =
     return not np.any(F_A[~mask] != 0) and bool(np.all(np.abs(np.abs(F_A[mask]) - 1.0) <= tol))
 
 
-def refine_digital(F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemConfig) -> np.ndarray:
+def refine_digital(
+    F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemConfig | Sequence[SystemConfig]
+) -> np.ndarray:
     """Ascend the weighted rate objective over the digital factor.
 
     One ``_budget_ascent`` of ``F_A @ F_D`` at fixed analog phases, for at
@@ -108,8 +112,15 @@ def refine_digital(F_A: np.ndarray, F_D: np.ndarray, channels, config: SystemCon
     with the cubic coefficient zeroed) to refine a transmitter that believes
     in that model. The returned factor never has a lower design-model
     objective than the power-matched input.
+
+    ``config`` may be a sequence of configs, one per refinement on the same
+    channels, with ``F_A`` (M, n_tx, n_rf) and ``F_D`` (M, n_rf, K) stacks:
+    the refinements then run as lockstep ascents and the (M, n_rf, K) stack
+    of factors is returned, each bit for bit that of its own call.
     """
-    return solver._budget_ascent(F_A, F_D, channels, config, solver.MAX_MO_STEPS)[0]
+    if isinstance(config, SystemConfig):
+        return solver._budget_ascent(F_A[None], F_D[None], channels, [config], solver.MAX_MO_STEPS)[0][0]
+    return solver._budget_ascent(np.asarray(F_A), np.asarray(F_D), channels, list(config), solver.MAX_MO_STEPS)[0]
 
 
 def match_hybrid_power(F_A: np.ndarray, F_D: np.ndarray, config: SystemConfig) -> np.ndarray:

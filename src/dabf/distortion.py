@@ -15,6 +15,7 @@ coefficients of ``budget_coefficients``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ def bussgang_gain_diag(F: np.ndarray, beta1: complex, beta3: complex) -> np.ndar
     return beta1 + 2.0 * beta3 * sig2
 
 
+# Cached: a batched ascent asks for each member's coefficients at every step.
+@functools.lru_cache(maxsize=256)
 def budget_coefficients(beta1: complex, beta3: complex) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the budget polynomial: |beta1|^2, 4 Re(beta1* beta3) and 6 |beta3|^2."""
     return abs(beta1) ** 2, 4.0 * (beta1.conjugate() * beta3).real, 6.0 * abs(beta3) ** 2
@@ -73,27 +76,33 @@ def _budget_root(a: float, b: float, c: float, p_tot: float) -> float:
     return u
 
 
-def power_match_scale(F: np.ndarray, p_tot: float, beta1: complex, beta3: complex):
+def power_match_scale(F: np.ndarray, p_tot, beta1, beta3):
     """Positive scalar s such that the mean output power of s*F equals p_tot.
 
     The power of s*F is a*u + b*u^2 + c*u^3 in u = s^2, with a, b, c fixed by
     the per-antenna input powers; by Cauchy-Schwarz b^2 <= (8/3) a c < 3ac,
     so the power is strictly increasing in u and ``_budget_root`` gives its
-    unique root. F is one precoder (returns a float) or a (B, n_tx, K) stack
-    (returns B scales, each equal bit for bit to the call on its slice).
-    Raises if F (or a slice) is zero.
+    unique root. F is one precoder (returns a float) or a (..., n_tx, K)
+    stack (returns one scale per slice, each equal bit for bit to the call
+    on its slice). ``p_tot``, ``beta1`` and ``beta3`` are scalars, or
+    sequences with one entry per member when the stack's last leading axis
+    holds members, (..., M, n_tx, K). Raises if F (or a slice) is zero.
     """
     x = np.ascontiguousarray(F, dtype=complex).view(float)  # (re, im) pairs: |F_ia|^2 summed along the rows
     sig2 = (x * x).sum(axis=-1)
     sig4 = sig2 * sig2
     sums = [np.reshape(s.sum(axis=-1), -1).tolist() for s in (sig2, sig4, sig4 * sig2)]
-    coef_a, coef_b, coef_c = budget_coefficients(beta1, beta3)
+    if np.isscalar(beta3):
+        budgets = [(p_tot, *budget_coefficients(beta1, beta3))]
+    else:
+        budgets = [(float(p), *budget_coefficients(complex(b1), complex(b3))) for p, b1, b3 in zip(p_tot, beta1, beta3)]
     roots = []
-    for total, tr4, tr6 in zip(*sums):
+    # Slice i of the flattened stack belongs to member i mod M.
+    for total, tr4, tr6, (p, coef_a, coef_b, coef_c) in zip(*sums, budgets * (len(sums[0]) // len(budgets))):
         if total == 0.0:
             raise ValueError("cannot power-match an all-zero precoder")
-        roots.append(math.sqrt(_budget_root(coef_a * total, coef_b * tr4, coef_c * tr6, p_tot)))
-    return roots[0] if F.ndim == 2 else np.array(roots)
+        roots.append(math.sqrt(_budget_root(coef_a * total, coef_b * tr4, coef_c * tr6, p)))
+    return roots[0] if F.ndim == 2 else np.array(roots).reshape(F.shape[:-2])
 
 
 def scale_to_power(F: np.ndarray, p_tot: float, beta1: complex, beta3: complex) -> np.ndarray:

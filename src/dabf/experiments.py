@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,12 +116,7 @@ def _grid_config(spec: ExperimentSpec, value: float) -> SystemConfig:
     return base.with_updates(noise_user=noise, noise_sense=noise)
 
 
-def _known_pa_hybrid(
-    channels: ChannelRealization,
-    cfg: SystemConfig,
-    F_known: np.ndarray,
-    blind_factors: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
+def _known_pa_hybrid(channels: ChannelRealization, cfg: SystemConfig, candidates: tuple[np.ndarray, ...]) -> np.ndarray:
     """Best distortion-aware hybrid over two analog-phase sources.
 
     The optimizer's precoder carries strongly non-uniform per-antenna
@@ -129,16 +124,41 @@ def _known_pa_hybrid(
     factorization can inherit weak analog phases. The linear design's
     factorization is a second, often better-conditioned source. The
     transmitter knows its amplifier model, so it evaluates both refined
-    candidates and keeps the better one. ``blind_factors`` are the (analog,
-    digital) factors of the linear design.
+    candidates (the hybrids of the two factorizations, each refined under
+    the true amplifier) and keeps the better one.
     """
-    factors = (decompose(F_known, cfg.n_rf)[:2], blind_factors)
-    candidates = [F_A @ refine_digital(F_A, F_D, channels, cfg) for F_A, F_D in factors]
     return max(candidates, key=lambda H: evaluate_metrics(channels, H, cfg).weighted_objective)
 
 
-def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: np.random.Generator):
-    """Function ``(scheme, grid config) -> reported hybrid`` for one channel realization.
+def _lockstep(members: dict, batch: Callable[[], np.ndarray], alone: Callable, where) -> dict:
+    """Each member's result of ``batch()``, one stacked run of every member of ``members`` (member -> report slot).
+
+    A batch that raises cannot say which member failed, so then each member
+    runs alone with ``alone(member)``, in order, inside ``where(*slot)`` of
+    the first report slot that needs it; a member run alone gives the result
+    it has in the batch.
+    """
+    if not members:
+        return {}
+    try:
+        results = batch()
+    except Exception:  # rerun one at a time below, where a failure is named
+        results = []
+        for member, slot in members.items():
+            with where(*slot):
+                results.append(alone(member))
+    return dict(zip(members, results))
+
+
+def _scheme_designer(
+    channels: ChannelRealization,
+    base: SystemConfig,
+    rbf_rng: np.random.Generator,
+    configs: list[SystemConfig],
+    schemes: tuple[str, ...],
+    where=lambda gi, scheme: nullcontext(),
+):
+    """Function ``(grid index, scheme) -> reported hybrid`` for one channel realization at the grid configs ``configs``.
 
     Work that does not depend on the grid point is done once per designer.
     Classical directions, and so their hybrid factors, depend only on the
@@ -156,6 +176,16 @@ def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: 
     (``refine_digital``) with their own design model: the true amplifier for
     the distortion-aware design, the linear version of the grid config for
     the PA-blind design.
+
+    The optimizer-driven schemes are planned for the whole grid before any
+    report, as two batches of lockstep ascents on the realization's
+    channels. One ``optimize_full_digital`` call runs every full-digital
+    design (one PA-blind design per distinct linear config, one
+    distortion-aware design per grid point with ``beta3 != 0``), and
+    ``decompose`` factors each. One ``refine_digital`` call then runs every
+    refinement: ``proposed_unknown``'s, and both ``_known_pa_hybrid``
+    candidates of each distortion-aware grid point. ``where(grid index,
+    scheme)`` is the failure context of a report slot (see ``_lockstep``).
     """
     memo: dict = {}
     classical = {
@@ -163,25 +193,75 @@ def _scheme_designer(channels: ChannelRealization, base: SystemConfig, rbf_rng: 
         "zf": lambda: zf_precoder(channels, base),
         "rbf": lambda: rbf_precoder(base, rbf_rng),
     }
+    linear = [cfg.with_updates(beta3=0j) for cfg in configs]
+
+    # Each ascent, keyed by what it depends on, with the first report slot
+    # that needs it; slots in report order, a slot's ascents in the order it uses them.
+    designs: dict = {}
+    refinements: dict = {}
+    for gi, cfg in enumerate(configs):
+        for scheme in schemes:
+            if scheme in classical:
+                continue
+            slot = (gi, scheme)
+            designs.setdefault(("blind", linear[gi]), slot)
+            if scheme == "proposed_known" and cfg.beta3 != 0:
+                designs.setdefault(("aware", gi), slot)
+                refinements.setdefault(("aware", gi), slot)
+                refinements.setdefault(("blind", gi), slot)
+            else:
+                refinements.setdefault(("unknown", linear[gi]), slot)
+
+    def design_config(key) -> SystemConfig:
+        return key[1] if key[0] == "blind" else configs[key[1]]
+
+    def design_alone(key) -> np.ndarray:
+        if key[0] == "blind":
+            return pa_blind_precoder(channels, key[1])[0].full_digital
+        return optimize_full_digital(channels, configs[key[1]])[0].full_digital
+
+    full = _lockstep(
+        designs,
+        lambda: optimize_full_digital(channels, [design_config(key) for key in designs])[0].full_digital,
+        design_alone,
+        where,
+    )
+    factors = {}
+    for key, slot in designs.items():
+        with where(*slot):
+            factors[key] = decompose(full[key], base.n_rf)[:2]
+
+    def source(key) -> tuple[np.ndarray, np.ndarray, SystemConfig]:
+        # A refinement's analog and digital factors and its design model.
+        kind, ref = key
+        if kind == "unknown":
+            return (*factors[("blind", ref)], ref)
+        return (*factors[("aware", ref) if kind == "aware" else ("blind", linear[ref])], configs[ref])
+
+    sources = {key: source(key) for key in refinements}
+
+    def refine_all() -> np.ndarray:
+        F_As, F_Ds, models = zip(*sources.values())
+        return refine_digital(np.array(F_As), np.array(F_Ds), channels, models)
+
+    refined = _lockstep(
+        refinements, refine_all, lambda key: refine_digital(*sources[key][:2], channels, sources[key][2]), where
+    )
+    hybrids = {key: sources[key][0] @ refined[key] for key in refinements}
 
     def once(key, make):
         if key not in memo:
             memo[key] = make()
         return memo[key]
 
-    def hybrid(scheme: str, cfg: SystemConfig) -> np.ndarray:
+    def hybrid(gi: int, scheme: str) -> np.ndarray:
+        cfg = configs[gi]
         if scheme in classical:
             F_A, F_D, _ = once(scheme, lambda: decompose(classical[scheme](), base.n_rf))
             return F_A @ match_hybrid_power(F_A, F_D, cfg)
-        linear = cfg.with_updates(beta3=0j)
-        blind = once(
-            ("blind", linear),
-            lambda: decompose(pa_blind_precoder(channels, linear)[0].full_digital, cfg.n_rf)[:2],
-        )
         if scheme == "proposed_known" and cfg.beta3 != 0:
-            full = optimize_full_digital(channels, cfg)[0].full_digital
-            return _known_pa_hybrid(channels, cfg, full, blind)
-        return once(("unknown", linear), lambda: blind[0] @ refine_digital(*blind, channels, linear))
+            return _known_pa_hybrid(channels, cfg, (hybrids[("aware", gi)], hybrids[("blind", gi)]))
+        return hybrids[("unknown", linear[gi])]
 
     return hybrid
 
@@ -195,14 +275,17 @@ def _sweep_one_realization(args: tuple[ExperimentSpec, int]) -> np.ndarray:
     spec, index = args
     base = spec.system
     channels = draw_channels(base, realization_rng(spec.seed, index, 0))
-    hybrid = _scheme_designer(channels, base, realization_rng(spec.seed, index, 1))
+    configs = [_grid_config(spec, value) for value in spec.grid]
 
+    def where(gi: int, scheme: str):
+        return _failure_context(spec, index, scheme, spec.grid[gi])
+
+    hybrid = _scheme_designer(channels, base, realization_rng(spec.seed, index, 1), configs, spec.schemes, where)
     out = np.zeros((len(spec.grid), len(spec.schemes), 2))
-    for gi, value in enumerate(spec.grid):
-        cfg = _grid_config(spec, value)
+    for gi, cfg in enumerate(configs):
         for si, scheme in enumerate(spec.schemes):
-            with _failure_context(spec, index, scheme, value):
-                report = evaluate_metrics(channels, hybrid(scheme, cfg), cfg)
+            with where(gi, scheme):
+                report = evaluate_metrics(channels, hybrid(gi, scheme), cfg)
             out[gi, si, 0] = report.weighted_objective
             out[gi, si, 1] = report.radiated_power
     return out
@@ -294,9 +377,9 @@ def _beam_pattern_rows(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     angles = np.arange(0.0, ANGLE_MAX_DEG + spec.angle_step_deg / 2, spec.angle_step_deg)
 
     rows = []
-    hybrid = _scheme_designer(channels, cfg, realization_rng(spec.seed, 0, 1))
+    hybrid = _scheme_designer(channels, cfg, realization_rng(spec.seed, 0, 1), [cfg], spec.schemes)
     for scheme in spec.schemes:
-        lin_db, nl_db = beam_patterns(hybrid(scheme, cfg), cfg, angles)
+        lin_db, nl_db = beam_patterns(hybrid(0, scheme), cfg, angles)
         for a, ld, nd in zip(angles, lin_db, nl_db):
             rows.append([float(a), scheme, float(ld), float(nd)])
     return ["angle_deg", "scheme", "linear_db", "nonlinear_db"], rows

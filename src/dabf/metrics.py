@@ -17,7 +17,9 @@ rest_r), and the gradient weights come from coeff_r / total_r and / rest_r.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -66,13 +68,19 @@ class Link:
     ``grad_weights`` over total and rest. ``noise`` and ``coeff`` (objective
     weights over ln 2) are per probe. Each table is built on first use, so an
     evaluation without a gradient never builds the gradient's.
-    ``scratch`` reuses the kernel's row buffer per stack shape (one caller at a time).
+    ``scratch`` reuses the kernel's large temporaries per stack shape (one caller at a time).
+
+    A link of several members (``Link.of`` with a sequence of configs) holds
+    each member's amplifier, noise and weights on a leading member axis:
+    ``beta1``/``beta3`` as (M, 1), ``noise``/``coeff`` as (M, m), and its
+    tables as (M, ...). A stack it evaluates holds the members on its last
+    leading axis, (..., M, n_tx, K). The members share the probe rows.
     """
 
     probes: np.ndarray
     k: int
-    beta1: complex
-    beta3: complex
+    beta1: complex | np.ndarray
+    beta3: complex | np.ndarray
     noise: np.ndarray | float = 0.0
     coeff: np.ndarray | float = 0.0
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
@@ -83,20 +91,57 @@ class Link:
     grad_rows = functools.cached_property(lambda self: _layout(self.k, len(self.probes))[2])
 
     @classmethod
-    def of(cls, channels: ChannelRealization, config: SystemConfig) -> Link:
-        probes = _probe_rows(channels, config.target_gain)
-        return cls(probes, config.n_users, config.beta1, config.beta3, *_noise_coeff(config))
+    def of(cls, channels: ChannelRealization, config: SystemConfig | Sequence[SystemConfig]) -> Link:
+        """The link of one config, or of a sequence of configs (one member each) that share the probe rows."""
+        if isinstance(config, SystemConfig):
+            probes = _probe_rows(channels, config.target_gain)
+            return cls(probes, config.n_users, config.beta1, config.beta3, *_noise_coeff(config))
+        first = config[0]
+        if any((c.n_users, c.target_gain) != (first.n_users, first.target_gain) for c in config):
+            raise ValueError("the members of a link must share n_users and target_gain")
+        noise, coeff = zip(*map(_noise_coeff, config))
+        beta1, beta3 = (np.array([[getattr(c, name)] for c in config]) for name in ("beta1", "beta3"))
+        probes = _probe_rows(channels, first.target_gain)
+        return cls(probes, first.n_users, beta1, beta3, np.array(noise), np.array(coeff))
+
+    def select(self, ids: np.ndarray) -> Link:
+        """The link of the members ``ids``, sharing this one's probe tables and scratch.
+
+        A link without a member axis is its own selection; one member's link
+        has no member axis, as ``Link.of`` its config.
+        """
+        if np.ndim(self.beta3) == 0:
+            return self
+        if len(ids) == 1:
+            i = ids[0]
+            picked = Link(self.probes, self.k, complex(self.beta1[i, 0]), complex(self.beta3[i, 0]),
+                          self.noise[i], self.coeff[i], self.scratch)
+        else:
+            picked = Link(self.probes, self.k, self.beta1[ids], self.beta3[ids], self.noise[ids], self.coeff[ids],
+                          self.scratch)
+        picked.__dict__.update(probed=self.probed, spread=self.spread)
+        return picked
+
+    @functools.cached_property
+    def d3(self) -> float | np.ndarray:
+        """2|beta3|^2, the distortion weight: a float, or (M,) per member (each in Python arithmetic, as for one)."""
+        if np.ndim(self.beta3) == 0:
+            return 2.0 * abs(self.beta3) ** 2
+        return np.array([2.0 * abs(complex(b)) ** 2 for b in self.beta3[:, 0]])
 
     @functools.cached_property
     def masks(self) -> np.ndarray:
-        d3 = 2.0 * abs(self.beta3) ** 2
-        return _layout(self.k, len(self.probes))[1] * np.array([1.0, 1.0, d3])[:, None, None]
+        scale = np.ones((*np.shape(self.d3), 3))
+        scale[..., 2] = self.d3
+        return _layout(self.k, len(self.probes))[1] * scale[..., :, None, None]
 
     @functools.cached_property
-    def grad_weights(self) -> np.ndarray:
-        d3 = 2.0 * abs(self.beta3) ** 2
+    def grad_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient's weights of the probed rows, over total and over rest."""
         unit = _layout(self.k, len(self.probes))[3]
-        return unit * self.coeff * np.where(np.arange(len(self.grad_rows)) < self.k, 1.0, d3)[:, None]
+        scale = np.where(np.arange(len(self.grad_rows)) < self.k, 1.0, np.reshape(self.d3, (*np.shape(self.d3), 1)))
+        weights = unit * self.coeff[..., None, None, :] * scale[..., None, :, None]
+        return weights[..., 0, :, :], weights[..., 1, :, :]
 
 
 def _noise_coeff(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -137,27 +182,50 @@ def _probe_rows(channels: ChannelRealization, target_gain: complex) -> np.ndarra
     return np.vstack((channels.user_channels, abs(target_gain) * channels.sense_steering)).conj()
 
 
+def _work(link: Link, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Complex work arrays of ``shapes``, cut from one block per link (``link.scratch``).
+
+    A stack shape recurs at every step of an ascent, so a kernel cuts its
+    arrays once per shape and keeps them in ``link.scratch``. The block only
+    grows, to the largest call's need, so repeated calls allocate no large
+    temporaries (whose pages the allocator would return and map again on
+    every call).
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    block = link.scratch.get("block")
+    if block is None or block.size < sum(sizes):
+        link.scratch.clear()  # the arrays cut from the old block
+        block = link.scratch["block"] = np.empty(sum(sizes), dtype=complex)
+    starts = np.cumsum([0, *sizes]).tolist()
+    return [block[a:a + size].reshape(shape) for a, size, shape in zip(starts, sizes, shapes)]
+
+
 def _probe(F: np.ndarray, link: Link) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma^2, gain, Y, parts) of F (n_tx, K), or of each slice of a (B, n_tx, K) stack.
+    """(sigma^2, gain, Y, parts) of F (n_tx, K), or of each slice of a (..., n_tx, K) stack.
 
     ``sigma^2`` are the antenna input powers and ``gain`` the Bussgang gain
     diagonal. Y (..., K + R, m) holds r^H B f_i in its first K rows, then
     the probed rows of T: row K + s*K + c for pair s and stream c. ``parts``
     (..., 3, m) are the per-probe powers of ``LinkTerms``.
     """
+    key = ("probe", F.shape)
+    work = link.scratch.get(key)
+    if work is None:
+        *lead, n, k = F.shape
+        p = len(link.pairs[0])
+        left, right, rows = _work(link, [(*lead, p, n)] * 2 + [(*lead, k + k * p, n)])
+        # Splitting an axis of a slice is always a view, so the last view writes into ``rows``.
+        work = link.scratch[key] = left, right, rows, rows[..., :k, :], rows[..., k:, :].reshape(*lead, p, k, n)
+    left, right, rows, streams, distorted = work
     X = np.ascontiguousarray(F.swapaxes(-1, -2))
-    *lead, k, n = X.shape
     Xc = X.conj()
     sig2 = (X * Xc).real.sum(axis=-2)
     gain = link.beta1 + 2.0 * link.beta3 * sig2
-    shape = (*lead, k + k * len(link.pairs[0]), n)
-    rows = link.scratch.get(shape)
-    if rows is None:
-        rows = link.scratch[shape] = np.empty(shape, dtype=complex)
-    np.multiply(gain[..., None, :], X, out=rows[..., :k, :])
-    pairs = X[..., link.pairs[0], :] * X[..., link.pairs[1], :]
-    # Splitting an axis of a slice is always a view, so this writes into ``rows``.
-    np.multiply(pairs[..., :, None, :], Xc[..., None, :, :], out=rows[..., k:, :].reshape(*lead, -1, k, n))
+    np.multiply(gain[..., None, :], X, out=streams)
+    # mode="clip" (the indices are in range) lets ``take`` write into ``out`` unbuffered.
+    np.take(X, link.pairs[0], axis=-2, out=left, mode="clip")
+    pairs = np.multiply(left, np.take(X, link.pairs[1], axis=-2, out=right, mode="clip"), out=left)
+    np.multiply(pairs[..., :, None, :], Xc[..., None, :, :], out=distorted)
     Y = (rows.view(float) @ link.probed).view(complex)
     return sig2, gain, Y, ((Y * Y.conj()).real[..., None, :, :] * link.masks).sum(axis=-2)
 

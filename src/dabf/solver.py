@@ -10,6 +10,12 @@ rescaled back onto the budget. Every ascent reports why it stopped (see
 ``_ascend``), and the design has converged when its ascent stopped on the
 gradient tolerance or the stall test.
 
+The engine advances a batch of independent ascents in lockstep, one stacked
+kernel call per step for all of them, so the designs of several configs on
+the same channels (``optimize_full_digital`` with a sequence of configs),
+or several refinements, cost far fewer kernel calls than one after another;
+each result is bit for bit that of its ascent run alone.
+
 The algorithm is fixed: its tolerances, Armijo constants, step caps and
 penalty strengths are the module constants below, which the functions read
 when they are called.
@@ -31,16 +37,16 @@ vector updates are exactly those diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import gradients
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .distortion import budget_coefficients, power_match_scale, radiated_power, scale_to_power
+from .distortion import budget_coefficients, power_match_scale, scale_to_power
 from .gradients import (
     NO_PENALTY,
     Link,
@@ -81,29 +87,23 @@ class InfeasibleMomentBudget(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecoderState:
-    """Full-digital solution and its moments.
-
-    ``moment4`` and ``moment6`` are the auxiliary diagonal moments, real
-    length-n_tx vectors (sigma^4 and sigma^6 of the returned precoder).
-    """
+    """Full-digital solution: one (n_tx, K) precoder, or a (M, n_tx, K) stack for a batch of designs."""
 
     full_digital: np.ndarray
-    moment4: np.ndarray
-    moment6: np.ndarray
 
 
 @dataclass
 class SolveDiagnostics:
-    """The design's one exact-budget ascent: its objective trace and why it stopped (a reason of ``_ascend``).
+    """The design's exact-budget ascent: its objective trace and why it stopped (a reason of ``_ascend``).
 
-    ``converged`` is true when the ascent stopped on its gradient tolerance
-    or its stall test, and false when a line search failed or the ascent
-    reached ``MAX_DESIGN_STEPS``.
+    For a batch of designs ``trace`` and ``stop`` are tuples with one entry
+    per member. ``converged`` is true when every ascent stopped on its
+    gradient tolerance or its stall test, and false when a line search
+    failed or an ascent reached ``MAX_DESIGN_STEPS``.
     """
 
-    trace: np.ndarray
-    stop: str
-    final_power_residual: float = 0.0
+    trace: np.ndarray | tuple[np.ndarray, ...]
+    stop: str | tuple[str, ...]
     # No outer rounds, rescues or penalty growth run; bench/tracer.py still reads these three.
     records: list = field(default_factory=list)
     rescues: int = 0
@@ -111,7 +111,8 @@ class SolveDiagnostics:
 
     @property
     def converged(self) -> bool:
-        return self.stop in ("gradient", "stall")
+        stops = (self.stop,) if isinstance(self.stop, str) else self.stop
+        return all(stop in ("gradient", "stall") for stop in stops)
 
 
 def tangent_project(M: np.ndarray, F: np.ndarray, norm_sq: float | None = None) -> np.ndarray:
@@ -155,119 +156,201 @@ def sphere_radius_sq(m4: np.ndarray, m6: np.ndarray, config: SystemConfig) -> fl
 _TRIALS_PER_CALL = 4
 
 
-def _armijo_search(point, direction, step, obj, grad_sq, objective, retract):
-    """First trial of step, step*c, step*c^2, ... (c = ``ARMIJO_CONTRACTION``) that passes the Armijo test.
+class _Member:
+    """One ascent of a lockstep batch: its objective, trace and conjugate-gradient state, and its open line search."""
 
-    The ``ARMIJO_MAX_BACKTRACKS`` trial steps are retracted and evaluated
-    ``_TRIALS_PER_CALL`` at a time as one stack, and the first passing trial
-    in sequence order wins, so the outcome is that of trying them one by
-    one. Returns (point, step, objective, terms) of that trial, or None.
-    """
-    for start in range(0, ARMIJO_MAX_BACKTRACKS, _TRIALS_PER_CALL):
-        chunk = []
-        for _ in range(min(_TRIALS_PER_CALL, ARMIJO_MAX_BACKTRACKS - start)):
-            chunk.append(step)
-            step *= ARMIJO_CONTRACTION
-        candidates = retract(point, np.array(chunk)[:, None, None] * direction)
-        values, terms = objective(candidates)
-        for i, s in enumerate(chunk):
-            if values[i] >= obj + ARMIJO_SLOPE * s * grad_sq:
-                return candidates[i], s, values[i], terms[i]
-    return None
+    __slots__ = (
+        "obj", "trace", "stop", "direction", "fr_coeff", "prev_step", "prev_grad_sq", "since_restart",
+        "grad", "grad_sq", "cap", "step", "tried",
+    )
+
+    def __init__(self, obj, restart_period: int):
+        self.obj = obj
+        self.trace = [obj]
+        self.stop = None
+        self.direction = None
+        self.fr_coeff = 0.0
+        self.prev_step = 0.0
+        self.prev_grad_sq = 0.0
+        self.since_restart = restart_period  # the first direction is the gradient
+        # The open search: the projected gradient, its squared norm, the
+        # largest step, the next trial step and the trials already tried.
+        self.grad = None
+        self.grad_sq = 0.0
+        self.cap = 0.0
+        self.step = 0.0
+        self.tried = 0
+
+    def restart(self, grad: np.ndarray) -> None:
+        self.fr_coeff = 0.0
+        self.direction = grad
+        self.since_restart = 0
+
+    def chunk(self) -> list[float]:
+        """The next ``_TRIALS_PER_CALL`` trial steps step, step*c, ... (c = ``ARMIJO_CONTRACTION``)."""
+        steps = []
+        for _ in range(_TRIALS_PER_CALL):
+            steps.append(self.step)
+            self.step *= ARMIJO_CONTRACTION
+        return steps
 
 
 def _ascend(
-    point: np.ndarray,
-    objective: Callable[[np.ndarray], tuple[np.ndarray, Terms]],
-    gradient: Callable[[np.ndarray, Terms], np.ndarray],
-    normal: Callable[[np.ndarray], np.ndarray],
-    retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    points: np.ndarray,
+    objective: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Terms]],
+    gradient: Callable[[np.ndarray, Terms, np.ndarray], np.ndarray],
+    normal: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    retract: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     max_steps: int,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Fletcher-Reeves conjugate-gradient ascent with Armijo backtracking, for at most ``max_steps`` steps.
+) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+    """Fletcher-Reeves conjugate-gradient ascents with Armijo backtracking, one per member, advanced in lockstep.
 
-    ``objective(Xs)`` evaluates a (B, ...) stack of points in one call and
-    returns their values and their ``Terms``; ``gradient(X, terms)`` is the
-    Euclidean gradient of the objective at ``X`` from X's terms, so the
-    accepted trial's terms are reused rather than recomputed. ``normal(X)``
-    is the normal at ``X`` of the feasible set's level set through it (``X``
-    itself for a norm sphere), and the gradient and the previous direction
-    are projected onto its orthogonal complement, the tangent space of that
-    level set. ``retract(X, steps)`` maps ``X + step`` back onto the
-    feasible set for each step of a stack. Trial steps are evaluated a few
-    at a time as a stack (``_armijo_search``), and the first one in sequence
-    order that passes wins, so the steps taken are those of a one-by-one
-    search. The conjugate directions restart along the gradient every
-    ``point.size`` steps.
-    Returns the final point, the objective trace (length 1 + number of
-    accepted steps, non-decreasing by the Armijo acceptance rule) and why
-    the ascent stopped: ``"gradient"`` (the projected gradient norm is at
+    ``points`` is a (M, rows, cols) stack of starting points, one per member
+    ("member" i starts at ``points[i]``). Every member runs its own ascent
+    of at most ``max_steps`` steps, and the members advance together: each
+    step makes one stacked ``normal`` and ``gradient`` call for every member
+    still running and one stacked ``objective`` call per round of its
+    members' Armijo searches, and a member leaves the stacks when it stops.
+    Every callback takes ``ids``, the members (indices into ``points``) on
+    the stack's member axis, which is its last leading axis:
+    ``objective(Xs, ids)`` evaluates a (T, len(ids), ...) stack and returns
+    its (T, len(ids)) values and their ``Terms``; ``gradient(X, terms,
+    ids)`` is the Euclidean gradient of the objective at each point of a
+    (len(ids), ...) stack from the points' terms, so an accepted trial's
+    terms are reused rather than recomputed; ``normal(X, ids)`` is the
+    normal at each point of the feasible set's level set through it (the
+    point itself for a norm sphere); and ``retract(X, steps, ids)`` maps
+    ``X[j] + steps[t, j]`` back onto the feasible set. The gradient and the
+    previous direction are projected onto the orthogonal complement of the
+    normal, the tangent space of that level set; each member does its own
+    projections and inner products, on its own arrays. An Armijo search
+    tries the steps step, step*c, step*c^2, ... ``_TRIALS_PER_CALL`` at a
+    time and the first one in sequence order that passes wins, so the steps
+    taken are those of a one-by-one search, and each member's result is bit
+    for bit that of its ascent run alone. The conjugate directions restart
+    along the gradient every ``point.size`` steps.
+    Returns the final points, each member's objective trace (length 1 +
+    number of accepted steps, non-decreasing by the Armijo acceptance rule)
+    and why it stopped: ``"gradient"`` (the projected gradient norm is at
     most ``GRAD_TOL_SCALE`` times the square root of the point's entry
     count), ``"stall"`` (the last ten steps gained less than
     ``OUTER_TOL / 10`` relative), ``"line search"`` (no trial step passed,
     also along the gradient) or ``"cap"`` (``max_steps`` steps).
     """
-    grad_tol = GRAD_TOL_SCALE * math.sqrt(point.size)
-    restart_period = point.size
-    values, terms = objective(point[None])
-    obj, terms = values[0], terms[0]
-    trace = [obj]
-    direction = None
-    fr_coeff = 0.0
-    prev_step = 0.0
-    prev_grad_sq = 0.0
-    since_restart = 0
+    size = points[0].size
+    grad_tol = GRAD_TOL_SCALE * math.sqrt(size)
     stall_window = 10
+    ids = np.arange(len(points))
+    values, terms = objective(points[None], ids)
+    terms = terms[0]
+    points = np.array(points)
+    members = [_Member(value, size) for value in values[0].tolist()]
+    final = np.empty_like(points)
+    traces: list = [None] * len(points)
+    stops: list = [None] * len(points)
 
     for _ in range(max_steps):
-        normal_at = normal(point)
-        normal_sq = float(np.vdot(normal_at, normal_at).real)
-        grad = tangent_project(gradient(point, terms), normal_at, normal_sq)
-        grad_sq = float(np.vdot(grad, grad).real)
-        grad_norm = np.sqrt(grad_sq)
-        if grad_norm <= grad_tol:
-            return point, np.asarray(trace), "gradient"
+        normals = normal(points, ids)
+        grads = gradient(points, terms, ids)
+        searching = []
+        for j, m in enumerate(members):
+            normal_at = normals[j]
+            normal_sq = float(np.vdot(normal_at, normal_at).real)
+            grad = tangent_project(grads[j], normal_at, normal_sq)
+            grad_sq = float(np.vdot(grad, grad).real)
+            grad_norm = math.sqrt(grad_sq)
+            if grad_norm <= grad_tol:
+                m.stop = "gradient"
+                continue
+            if m.since_restart >= size:
+                m.restart(grad)
+            else:
+                m.fr_coeff = grad_sq / m.prev_grad_sq
+                m.direction = grad + m.fr_coeff * tangent_project(m.direction, normal_at, normal_sq)
+                if float(np.vdot(m.direction, grad).real) <= 0.0:
+                    m.restart(grad)
+            # Warm-started backtracking: reuse the previous accepted step (with
+            # headroom) so stiff stretches do not pay a full backtrack cascade
+            # every iteration; the cap is the ARMIJO_INIT_STEP/||grad|| initial step.
+            m.grad, m.grad_sq, m.cap = grad, grad_sq, ARMIJO_INIT_STEP / grad_norm
+            m.step = min(4.0 * m.prev_step, m.cap) if m.prev_step > 0.0 else m.cap
+            m.tried = 0
+            searching.append(j)
 
-        if direction is None or since_restart >= restart_period:
-            fr_coeff = 0.0
-            direction = grad
-            since_restart = 0
-        else:
-            fr_coeff = grad_sq / prev_grad_sq
-            direction = grad + fr_coeff * tangent_project(direction, normal_at, normal_sq)
-            if float(np.vdot(direction, grad).real) <= 0.0:
-                fr_coeff = 0.0
-                direction = grad
-                since_restart = 0
+        # Rounds of the searches still open: each member's next trials, all in one stack.
+        accepted = []
+        while searching:
+            every = len(searching) == len(members)
+            rows = ids if every else ids[searching]
+            chunks = [members[j].chunk() for j in searching]
+            directions = [members[j].direction for j in searching]
+            # One member's direction needs no copy to gain the member axis.
+            directions = directions[0][None] if len(directions) == 1 else np.stack(directions)
+            steps = np.array(chunks).T[:, :, None, None] * directions
+            candidates = retract(points if every else points[searching], steps, rows)
+            values, found = objective(candidates, rows)
+            values = values.tolist()
+            still_open, at, trial, col = [], [], [], []
+            for c, j in enumerate(searching):
+                m = members[j]
+                valid = min(_TRIALS_PER_CALL, ARMIJO_MAX_BACKTRACKS - m.tried)
+                for t, s in enumerate(chunks[c][:valid]):
+                    if values[t][c] >= m.obj + ARMIJO_SLOPE * s * m.grad_sq:
+                        m.prev_step, m.obj = s, values[t][c]
+                        at.append(j)
+                        trial.append(t)
+                        col.append(c)
+                        break
+                else:
+                    m.tried += valid
+                    if m.tried < ARMIJO_MAX_BACKTRACKS:
+                        still_open.append(j)
+                    elif m.fr_coeff != 0.0:
+                        # The momentum direction can be too misaligned with the gradient
+                        # for the acceptance rule; retry once along the gradient itself.
+                        m.restart(m.grad)
+                        m.step, m.tried = m.cap, 0
+                        still_open.append(j)
+                    else:
+                        m.stop = "line search"
+            if every and len(at) == len(members):
+                # Every member accepted a trial of this round: the round's slices are the new stacks.
+                pick = trial[0] if trial.count(trial[0]) == len(trial) else (np.array(trial), np.array(col))
+                points, terms = candidates[pick], found[pick]
+            elif at:
+                pick = np.array(trial), np.array(col)
+                points[at] = candidates[pick]
+                terms[at] = found[pick]
+            accepted += at
+            searching = still_open
 
-        # Warm-started backtracking: reuse the previous accepted step (with
-        # headroom) so stiff stretches do not pay a full backtrack cascade
-        # every iteration; the cap is the ARMIJO_INIT_STEP/||grad|| initial step.
-        cap = ARMIJO_INIT_STEP / grad_norm
-        step = min(4.0 * prev_step, cap) if prev_step > 0.0 else cap
-        found = _armijo_search(point, direction, step, obj, grad_sq, objective, retract)
-        if found is None and fr_coeff != 0.0:
-            # The momentum direction can be too misaligned with the gradient
-            # for the acceptance rule; retry once along the gradient itself.
-            fr_coeff = 0.0
-            direction = grad
-            since_restart = 0
-            found = _armijo_search(point, direction, cap, obj, grad_sq, objective, retract)
-        if found is None:
-            return point, np.asarray(trace), "line search"
+        going = len(accepted)
+        for j in accepted:
+            m = members[j]
+            m.trace.append(m.obj)
+            m.prev_grad_sq = m.grad_sq
+            m.since_restart += 1
+            # Stall stop: relative objective change over a short window of
+            # accepted steps, so a single cautious step cannot end the run.
+            if len(m.trace) > stall_window:
+                gained = m.obj - m.trace[-1 - stall_window]
+                if gained < OUTER_TOL / 10.0 * max(abs(m.obj), 1e-12):
+                    m.stop = "stall"
+                    going -= 1
 
-        point, prev_step, obj, terms = found
-        trace.append(obj)
-        prev_grad_sq = grad_sq
-        since_restart += 1
-        # Stall stop: relative objective change over a short window of
-        # accepted steps, so a single cautious step cannot end the run.
-        if len(trace) > stall_window:
-            gained = obj - trace[-1 - stall_window]
-            if gained < OUTER_TOL / 10.0 * max(abs(obj), 1e-12):
-                return point, np.asarray(trace), "stall"
+        if going < len(members):
+            running = [j for j, m in enumerate(members) if m.stop is None]
+            for j, m in enumerate(members):
+                if m.stop is not None:
+                    final[ids[j]], traces[ids[j]], stops[ids[j]] = points[j], np.asarray(m.trace), m.stop
+            points, terms, ids = points[running], terms[running], ids[running]
+            members = [members[j] for j in running]
+            if not members:
+                break
 
-    return point, np.asarray(trace), "cap"
+    for j, m in enumerate(members):
+        final[ids[j]], traces[ids[j]], stops[ids[j]] = points[j], np.asarray(m.trace), "cap"
+    return final, traces, stops
 
 
 def manifold_cg(
@@ -281,25 +364,28 @@ def manifold_cg(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fletcher-Reeves conjugate-gradient ascent on the norm sphere, for at most ``MAX_MO_STEPS`` steps.
 
-    Each Armijo search retracts its trial steps onto the sphere as a stack
-    and evaluates them in one kernel call (see ``_ascend``). Returns the
-    final point and the per-iteration objective trace (length 1 + number of
-    accepted steps, non-decreasing by the Armijo acceptance rule).
+    One ``_ascend`` of one member: each Armijo search retracts its trial
+    steps onto the sphere as a stack and evaluates them in one kernel call.
+    Returns the final point and the per-iteration objective trace (length 1
+    + number of accepted steps, non-decreasing by the Armijo acceptance rule).
     """
     c1 = sphere_radius_sq(m4, m6, config)
     penalty = moment_penalty(m4, m6, penalty1, penalty2)
     link = Link.of(channels, config)
-    return _ascend(
-        retract(F_init, np.zeros_like(F_init), c1),
-        lambda Fs: penalized_objective(Fs, penalty, channels, config, link=link, with_terms=True),
-        lambda F, terms: euclidean_gradient(F, penalty, channels, config, terms=terms),
-        lambda F: F,
-        lambda F, steps: retract(F, steps, c1),
+    points, traces, _ = _ascend(
+        retract(F_init, np.zeros_like(F_init), c1)[None],
+        lambda Fs, ids: penalized_objective(Fs, penalty, channels, config, link=link, with_terms=True),
+        lambda F, terms, ids: euclidean_gradient(F, penalty, channels, config, terms=terms),
+        lambda F, ids: F,
+        lambda F, steps, ids: retract(F, steps, c1),
         MAX_MO_STEPS,
-    )[:2]
+    )
+    return points[0], traces[0]
 
 
-def budget_normal(X: np.ndarray, F_A: np.ndarray | None, config: SystemConfig) -> np.ndarray:
+def budget_normal(
+    X: np.ndarray, F_A: np.ndarray | None, config: SystemConfig | Sequence[SystemConfig]
+) -> np.ndarray:
     """Normal at X of the power budget's level set through ``F_A @ X``, up to a positive scale.
 
     The budget P(F) = a ||F||^2 + b sum sigma^4 + c sum sigma^6 has the
@@ -308,50 +394,92 @@ def budget_normal(X: np.ndarray, F_A: np.ndarray | None, config: SystemConfig) -
     itself. Otherwise the normal is pulled back to F_A^H D F_A X; for a
     partially connected F_A that matrix is diagonal, with each chain's sum
     of D over its subarray, so each row of X is scaled by its subarray's
-    mean. With b = c = 0 every scale is exactly 1 and X comes back bit for bit.
+    mean. With b = c = 0 every scale is exactly 1 and X comes back bit for
+    bit. For a batch, X is a (M, ...) stack of members, ``F_A`` None or a
+    (M, n_tx, n_rf) stack, and ``config`` holds one config per member.
     """
-    a, b, c = budget_coefficients(config.beta1, config.beta3)
+    if isinstance(config, SystemConfig):
+        a, b, c = budget_coefficients(config.beta1, config.beta3)
+        quartic, sextic = 2.0 * b / a, 3.0 * c / a
+    else:
+        coefficients = [budget_coefficients(member.beta1, member.beta3) for member in config]
+        quartic = np.array([[2.0 * b / a] for a, b, _ in coefficients])
+        sextic = np.array([[3.0 * c / a] for a, _, c in coefficients])
     sig2 = _row_powers(X if F_A is None else F_A @ X)
-    scale = 1.0 + (2.0 * b / a) * sig2 + (3.0 * c / a) * sig2**2
+    scale = 1.0 + quartic * sig2 + sextic * sig2**2
     if F_A is not None:
-        scale = scale.reshape(X.shape[0], -1).mean(axis=1)
-    return scale[:, None] * X
+        scale = scale.reshape(*X.shape[:-1], -1).mean(axis=-1)
+    return scale[..., None] * X
 
 
 def _budget_ascent(
     F_A: np.ndarray | None,
     X: np.ndarray,
     channels: ChannelRealization,
-    config: SystemConfig,
+    configs: Sequence[SystemConfig],
     max_steps: int,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Ascent of the weighted rate objective of ``F_A @ X`` over X on the exact power budget.
+) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+    """Lockstep ascents of the weighted rate objective of ``F_A[i] @ X[i]`` over X[i], each on its exact power budget.
 
-    ``F_A = None`` means the precoder is X itself. The retraction rescales
-    each trial onto the output-power budget of ``config`` (the whole stack
-    of a search in one ``power_match_scale`` call), the gradient is the
-    pulled-back ``F_A^H grad``, and the ascent projects onto the tangent
-    space of the budget's level set (``budget_normal``). Returns the final
-    X, the objective trace and the stop reason (see ``_ascend``); the first
-    entry of the trace is the objective of power-matched X.
+    ``X`` is a (M, ...) stack of starts and ``configs`` holds one config per
+    member (they share the channels). ``F_A = None`` means each precoder is
+    X[i] itself; otherwise ``F_A`` is a (M, n_tx, n_rf) stack. The
+    retraction rescales each trial onto the output-power budget of its
+    member's config (a whole round of searches in one ``power_match_scale``
+    call), the gradient is the pulled-back ``F_A^H grad``, and each ascent
+    projects onto the tangent space of its budget's level set
+    (``budget_normal``). Returns the final X stack, the objective traces and
+    the stop reasons (see ``_ascend``); the first entry of a trace is the
+    objective of power-matched X.
     """
-    lift = (lambda Xs: Xs) if F_A is None else (lambda Xs: F_A @ Xs)
-    link = Link.of(channels, config)
+    link = Link.of(channels, configs)
+    tables: dict = {}
+    last: list = [None, None]  # the ids of the latest call and their tables
 
-    def fit(X: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    def members(ids: np.ndarray) -> dict:
+        # What the members ``ids`` need, made once per set of members the engine
+        # stacks; one member gets its config's scalars, as for any single precoder.
+        if ids is not last[0]:
+            key = ids.tobytes()
+            if key not in tables:
+                picked = [configs[i] for i in ids]
+                one = picked[0] if len(picked) == 1 else None
+                budget = [[getattr(c, name) for c in picked] for name in ("p_tot", "beta1", "beta3")]
+                tables[key] = dict(
+                    link=link.select(ids),
+                    F_A=None if F_A is None else F_A[ids],
+                    budget=[values[0] for values in budget] if one else budget,
+                    configs=one or picked,
+                )
+            last[:] = ids, tables[key]
+        return last[1]
+
+    def lift(Xs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        return Xs if F_A is None else members(ids)["F_A"] @ Xs
+
+    def fit(X: np.ndarray, steps: np.ndarray, ids: np.ndarray) -> np.ndarray:
         moved = X + steps
-        return moved * power_match_scale(lift(moved), config.p_tot, config.beta1, config.beta3)[:, None, None]
+        return moved * power_match_scale(lift(moved, ids), *members(ids)["budget"])[..., None, None]
 
-    def objective(Xs: np.ndarray):
-        return penalized_objective(lift(Xs), NO_PENALTY, channels, config, link=link, with_terms=True)
+    def objective(Xs: np.ndarray, ids: np.ndarray):
+        here = members(ids)
+        return penalized_objective(lift(Xs, ids), NO_PENALTY, channels, configs[0], link=here["link"], with_terms=True)
 
-    def gradient(X: np.ndarray, terms: Terms) -> np.ndarray:
+    def gradient(X: np.ndarray, terms: Terms, ids: np.ndarray) -> np.ndarray:
+        here = members(ids)
+        if terms.link is not here["link"]:
+            terms = replace(terms, link=here["link"])
         # Looked up at call time, so a wrapped ``gradients.euclidean_gradient`` sees every call.
-        egrad = gradients.euclidean_gradient(lift(X), NO_PENALTY, channels, config, terms=terms)
-        return egrad if F_A is None else F_A.conj().T @ egrad
+        egrad = gradients.euclidean_gradient(lift(X, ids), NO_PENALTY, channels, configs[0], terms=terms)
+        return egrad if F_A is None else here["F_A"].conj().swapaxes(-1, -2) @ egrad
 
-    start = fit(X, np.zeros((1, *X.shape)))[0]
-    return _ascend(start, objective, gradient, lambda X: budget_normal(X, F_A, config), fit, max_steps)
+    def normal(X: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        here = members(ids)
+        return budget_normal(X, here["F_A"], here["configs"])
+
+    every = np.arange(len(X))
+    start = fit(X, np.zeros((1, *X.shape)), every)[0]
+    return _ascend(start, objective, gradient, normal, fit, max_steps)
 
 
 def update_quartic_moment(
@@ -438,7 +566,7 @@ def first_mo_trace(channels: ChannelRealization, config: SystemConfig) -> np.nda
 
 def optimize_full_digital(
     channels: ChannelRealization,
-    config: SystemConfig,
+    config: SystemConfig | Sequence[SystemConfig],
     f_init: np.ndarray | None = None,
 ) -> tuple[PrecoderState, SolveDiagnostics]:
     """Design the full-digital precoder on the exact power budget.
@@ -450,11 +578,19 @@ def optimize_full_digital(
     of the budget's level set, so with a cubic term no moment alternation is
     needed. The diagnostics hold the ascent's objective trace and stop
     reason; ``converged`` is true when it stopped on the gradient tolerance
-    or the stall test. The returned moments are the exact ones of the
-    returned precoder.
+    or the stall test.
+
+    ``config`` may be a sequence of configs: one design per config on the
+    same channels, run as lockstep ascents from ``f_init`` (one start for
+    all, or one per design) or the matched filter. The state
+    then holds the (M, n_tx, K) stack of precoders, the diagnostics one
+    trace and one stop reason per design, and each design is bit for bit
+    that of its own call.
     """
+    configs = [config] if isinstance(config, SystemConfig) else list(config)
     start = _mrt_direction(channels) if f_init is None else np.asarray(f_init, dtype=complex)
-    F, trace, stop = _budget_ascent(None, start, channels, config, MAX_DESIGN_STEPS)
-    m4, m6 = moment_targets(F)
-    residual = abs(radiated_power(F, config.beta1, config.beta3)[0] - config.p_tot) / config.p_tot
-    return PrecoderState(full_digital=F, moment4=m4, moment6=m6), SolveDiagnostics(trace, stop, residual)
+    starts = np.broadcast_to(start, (len(configs), *start.shape[-2:]))
+    F, traces, stops = _budget_ascent(None, starts, channels, configs, MAX_DESIGN_STEPS)
+    if isinstance(config, SystemConfig):
+        return PrecoderState(F[0]), SolveDiagnostics(traces[0], stops[0])
+    return PrecoderState(F), SolveDiagnostics(tuple(traces), tuple(stops))

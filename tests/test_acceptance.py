@@ -199,7 +199,7 @@ def test_criterion_4_solver_feasibility_and_monotonicity():
         if len(diag.trace) > 1:
             worst_dip = max(worst_dip, float(np.max(-np.diff(diag.trace))))
         F = state.full_digital
-        c1 = sphere_radius_sq(state.moment4, state.moment6, cfg)
+        c1 = sphere_radius_sq(*moment_targets(F), cfg)
         worst_manifold = max(worst_manifold, abs(float(np.real(np.vdot(F, F))) - c1) / c1)
         power = radiated_power(F, cfg.beta1, cfg.beta3)[0]
         worst_power = max(worst_power, abs(power - p) / p)

@@ -108,6 +108,8 @@ def test_non_integer_run_count_rejected(tmp_path, text, key):
         pytest.param("sweep_snr", "system: {target_gain: [1.0, '0']}", "target_gain[1]", id="target_gain-pair-string"),
         pytest.param("beam_pattern", "beam: {user_angle_deg: true}", "user_angle_deg", id="user_angle_deg-bool"),
         pytest.param("beam_pattern", "beam: {angle_step_deg: true}", "angle_step_deg", id="angle_step_deg-bool"),
+        pytest.param("sweep_snr", "sweep: {grid: ['13', 20]}", "grid[0]", id="grid-string"),
+        pytest.param("sweep_snr", "sweep: {grid: [0, abc]}", "grid[1]", id="grid-word"),
     ],
 )
 def test_non_real_value_rejected(tmp_path, kind, text, key):
@@ -147,6 +149,22 @@ def test_boolean_grid_value_rejected(tmp_path):
     path = write(tmp_path, "experiment: sweep_snr\nsweep: {grid: [false, true]}\n")
     with pytest.raises(ConfigError, match=r"grid values must be numbers, got \[False, True\]"):
         parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param("sweep: {grid: 5}", "sweep grid must be a list, got 5", id="grid"),
+        pytest.param("schemes: 5", "schemes must be a list, got 5", id="schemes"),
+    ],
+)
+def test_cli_non_list_exits_with_config_error(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, f"experiment: sweep_snr\n{text}\n")
+    code = main(["sweep-snr", "--config", cfg, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_non_integer_antenna_count_exits_with_config_error(tmp_path, capsys):

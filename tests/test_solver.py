@@ -314,20 +314,20 @@ def test_linear_pa_solve_dominates_mrt():
     for seed in range(10):
         cfg = config_for(8, 2, beta3=0j, p_tot=10.0, noise_user=0.1, noise_sense=0.1)
         ch = draw_channels(cfg, np.random.default_rng(seed))
-        state, diag = optimize_full_digital(ch, cfg)
+        state, _ = optimize_full_digital(ch, cfg)
         ours = weighted_objective(state.full_digital, ch, cfg)
         mrt = weighted_objective(mrt_precoder(ch, cfg), ch, cfg)
         assert ours >= mrt - 1e-9
-        assert diag.final_power_residual < 1e-10
+        power = radiated_power(state.full_digital, cfg.beta1, cfg.beta3)[0]
+        assert abs(power - cfg.p_tot) / cfg.p_tot < 1e-10
 
 
 def test_solve_power_residual_small():
     cfg = convergence_scale_config()
     ch = draw_channels(cfg, np.random.default_rng(200))
-    state, diag = optimize_full_digital(ch, cfg)
+    state, _ = optimize_full_digital(ch, cfg)
     power = radiated_power(state.full_digital, cfg.beta1, cfg.beta3)[0]
-    assert abs(power - cfg.p_tot) / cfg.p_tot < 1e-2
-    assert diag.final_power_residual < 1e-10
+    assert abs(power - cfg.p_tot) / cfg.p_tot < 1e-10
 
 
 def test_solve_objective_invariant_to_initial_phase():
@@ -380,10 +380,9 @@ def test_solve_holds_moments_when_quartic_degenerate():
     # the solve still meets it exactly.
     cfg = config_for(8, 2, beta1=1.0 + 0.0j, beta3=0.05j, p_tot=6.0)
     ch = draw_channels(cfg, np.random.default_rng(400))
-    state, diag = optimize_full_digital(ch, cfg)
-    assert diag.final_power_residual < 1e-10
-    m4_exact, _ = moment_targets(state.full_digital)
-    np.testing.assert_allclose(state.moment4, m4_exact, atol=1e-12)
+    state, _ = optimize_full_digital(ch, cfg)
+    power = radiated_power(state.full_digital, cfg.beta1, cfg.beta3)[0]
+    assert abs(power - cfg.p_tot) / cfg.p_tot < 1e-10
 
 
 def test_manifold_cg_rejects_exhausted_budget():
@@ -449,7 +448,7 @@ def test_level_set_ascent_gains_where_sphere_projection_stops():
     events = {}
     cfg, ch, F, _ = sphere_projected_oracle(events)
     assert events.get("failed") == 1
-    _, trace, _ = _budget_ascent(None, F, ch, cfg, solver.MAX_MO_STEPS)
+    _, (trace,), _ = _budget_ascent(None, F[None], ch, [cfg], solver.MAX_MO_STEPS)
     assert trace[-1] - trace[0] > solver.OUTER_TOL * abs(trace[-1])
 
 
@@ -459,13 +458,13 @@ def test_level_set_ascent_gains_where_sphere_projection_stops():
 def test_ascent_stops_on_gradient_tolerance(monkeypatch):
     cfg, ch = desk_instance(634, BETA3)
     monkeypatch.setattr(solver, "GRAD_TOL_SCALE", 1e6)
-    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, solver.MAX_DESIGN_STEPS)
+    _, (trace,), (stop,) = _budget_ascent(None, _mrt_direction(ch)[None], ch, [cfg], solver.MAX_DESIGN_STEPS)
     assert stop == "gradient" and len(trace) == 1
 
 
 def test_ascent_stops_on_stall():
     cfg, ch = desk_instance(634, BETA3)
-    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, solver.MAX_DESIGN_STEPS)
+    _, (trace,), (stop,) = _budget_ascent(None, _mrt_direction(ch)[None], ch, [cfg], solver.MAX_DESIGN_STEPS)
     assert stop == "stall" and 10 < len(trace) <= solver.MAX_DESIGN_STEPS
     assert trace[-1] - trace[-11] < solver.OUTER_TOL / 10.0 * abs(trace[-1])
 
@@ -475,14 +474,14 @@ def test_ascent_stops_on_failed_line_search(monkeypatch):
     # the failed line search of the level-set test, at the oracle's point.
     cfg, ch, ref_point, ref_trace = sphere_projected_oracle()
     monkeypatch.setattr(solver, "budget_normal", lambda X, F_A, config: X)
-    F, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, solver.MAX_MO_STEPS)
+    (F,), (trace,), (stop,) = _budget_ascent(None, _mrt_direction(ch)[None], ch, [cfg], solver.MAX_MO_STEPS)
     assert stop == "line search" and len(trace) <= solver.MAX_MO_STEPS
     assert np.array_equal(F, ref_point) and np.array_equal(trace, ref_trace)
 
 
 def test_ascent_stops_at_cap():
     cfg, ch = desk_instance(634, BETA3)
-    _, trace, stop = _budget_ascent(None, _mrt_direction(ch), ch, cfg, 3)
+    _, (trace,), (stop,) = _budget_ascent(None, _mrt_direction(ch)[None], ch, [cfg], 3)
     assert stop == "cap" and len(trace) == 4
 
 
@@ -539,11 +538,9 @@ def test_design_is_one_budget_ascent(monkeypatch, given, beta3):
     f_init = random_complex((cfg.n_tx, cfg.n_users), 632) if given else None
     state, diag = optimize_full_digital(ch, cfg, f_init=f_init)
     assert len(ascents) == 1
-    F, trace, stop = ascents[0]
+    (F,), (trace,), (stop,) = ascents[0]
     assert np.array_equal(state.full_digital, F) and np.array_equal(diag.trace, trace)
     assert diag.stop == stop and diag.converged == (stop in ("gradient", "stall"))
-    m4, m6 = moment_targets(F)
-    assert np.array_equal(state.moment4, m4) and np.array_equal(state.moment6, m6)
 
 
 @AMPLIFIERS
@@ -553,7 +550,7 @@ def test_design_is_on_budget_and_beats_matched_filter(seed, beta3):
     state, diag = optimize_full_digital(ch, cfg)
     F = state.full_digital
     power = radiated_power(F, cfg.beta1, cfg.beta3)[0]
-    assert abs(power - cfg.p_tot) <= 1e-12 * cfg.p_tot and diag.final_power_residual < 1e-12
+    assert abs(power - cfg.p_tot) <= 1e-12 * cfg.p_tot
     assert weighted_objective(F, ch, cfg) >= weighted_objective(power_matched_mrt(ch, cfg), ch, cfg)
     assert diag.converged and diag.trace[-1] == weighted_objective(F, ch, cfg)
 
