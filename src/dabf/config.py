@@ -91,6 +91,8 @@ class SystemConfig:
             raise ConfigError("noise powers must be positive")
         object.__setattr__(self, "noise_user", tuple(float(v) for v in noise))
         object.__setattr__(self, "beta1", complex(self.beta1))
+        if self.beta1 == 0:
+            raise ConfigError("beta1 must be nonzero: a zero linear gain leaves no power budget to match")
         object.__setattr__(self, "beta3", complex(self.beta3))
         object.__setattr__(self, "target_gain", complex(self.target_gain))
 

@@ -66,6 +66,8 @@ class ExperimentSpec:
             raise ConfigError("sweep grid must be sorted ascending")
         if self.kind == "sweep_nonlinearity" and self.grid[0] < 0.0:
             raise ConfigError(f"rho must be non-negative, got {self.grid[0]!r}")
+        if self.kind == "convergence" and self.schemes != ("proposed_known",):
+            raise ConfigError(f"convergence traces proposed_known only; got schemes {list(self.schemes)}")
         if len(self.schemes) == 0:
             raise ConfigError("scheme list must be non-empty")
         for i, s in enumerate(self.schemes):
@@ -196,7 +198,10 @@ def _scheme_designer(
     linear = [cfg.with_updates(beta3=0j) for cfg in configs]
 
     # Each ascent, keyed by what it depends on, with the first report slot
-    # that needs it; slots in report order, a slot's ascents in the order it uses them.
+    # that needs it; slots in report order, a slot's ascents in the order it
+    # uses them. A design is keyed by its config (the linear one for the
+    # PA-blind design), a refinement by the config of the design it factors
+    # and its design model.
     designs: dict = {}
     refinements: dict = {}
     for gi, cfg in enumerate(configs):
@@ -204,50 +209,34 @@ def _scheme_designer(
             if scheme in classical:
                 continue
             slot = (gi, scheme)
-            designs.setdefault(("blind", linear[gi]), slot)
+            designs.setdefault(linear[gi], slot)
             if scheme == "proposed_known" and cfg.beta3 != 0:
-                designs.setdefault(("aware", gi), slot)
-                refinements.setdefault(("aware", gi), slot)
-                refinements.setdefault(("blind", gi), slot)
+                designs.setdefault(cfg, slot)
+                refinements.setdefault((cfg, cfg), slot)
+                refinements.setdefault((linear[gi], cfg), slot)
             else:
-                refinements.setdefault(("unknown", linear[gi]), slot)
+                refinements.setdefault((linear[gi], linear[gi]), slot)
 
-    def design_config(key) -> SystemConfig:
-        return key[1] if key[0] == "blind" else configs[key[1]]
-
-    def design_alone(key) -> np.ndarray:
-        if key[0] == "blind":
-            return pa_blind_precoder(channels, key[1])[0].full_digital
-        return optimize_full_digital(channels, configs[key[1]])[0].full_digital
+    def design_alone(cfg: SystemConfig) -> np.ndarray:
+        design = pa_blind_precoder if cfg.beta3 == 0 else optimize_full_digital
+        return design(channels, cfg)[0].full_digital
 
     full = _lockstep(
-        designs,
-        lambda: optimize_full_digital(channels, [design_config(key) for key in designs])[0].full_digital,
-        design_alone,
-        where,
+        designs, lambda: optimize_full_digital(channels, list(designs))[0].full_digital, design_alone, where
     )
     factors = {}
-    for key, slot in designs.items():
+    for cfg, slot in designs.items():
         with where(*slot):
-            factors[key] = decompose(full[key], base.n_rf)[:2]
-
-    def source(key) -> tuple[np.ndarray, np.ndarray, SystemConfig]:
-        # A refinement's analog and digital factors and its design model.
-        kind, ref = key
-        if kind == "unknown":
-            return (*factors[("blind", ref)], ref)
-        return (*factors[("aware", ref) if kind == "aware" else ("blind", linear[ref])], configs[ref])
-
-    sources = {key: source(key) for key in refinements}
+            factors[cfg] = decompose(full[cfg], base.n_rf)[:2]
 
     def refine_all() -> np.ndarray:
-        F_As, F_Ds, models = zip(*sources.values())
-        return refine_digital(np.array(F_As), np.array(F_Ds), channels, models)
+        F_As, F_Ds = zip(*(factors[design] for design, _ in refinements))
+        return refine_digital(np.array(F_As), np.array(F_Ds), channels, [model for _, model in refinements])
 
     refined = _lockstep(
-        refinements, refine_all, lambda key: refine_digital(*sources[key][:2], channels, sources[key][2]), where
+        refinements, refine_all, lambda key: refine_digital(*factors[key[0]], channels, key[1]), where
     )
-    hybrids = {key: sources[key][0] @ refined[key] for key in refinements}
+    hybrids = {key: factors[key[0]][0] @ refined[key] for key in refinements}
 
     def once(key, make):
         if key not in memo:
@@ -260,8 +249,8 @@ def _scheme_designer(
             F_A, F_D, _ = once(scheme, lambda: decompose(classical[scheme](), base.n_rf))
             return F_A @ match_hybrid_power(F_A, F_D, cfg)
         if scheme == "proposed_known" and cfg.beta3 != 0:
-            return _known_pa_hybrid(channels, cfg, (hybrids[("aware", gi)], hybrids[("blind", gi)]))
-        return hybrids[("unknown", linear[gi])]
+            return _known_pa_hybrid(channels, cfg, (hybrids[(cfg, cfg)], hybrids[(linear[gi], cfg)]))
+        return hybrids[(linear[gi], linear[gi])]
 
     return hybrid
 

@@ -9,7 +9,7 @@ and their gradient are O(n_tx K) row operations.
 Both functions read the probe kernel of ``metrics``; ``Link`` holds what
 does not depend on F, so an ascent builds it once. Both evaluate one
 precoder or a (..., n_tx, K) stack, each result bit for bit that of the
-call on its slice; a ``Link`` of several members evaluates a stack whose
+call on its slice; a ``Link`` of members (one or more) evaluates a stack whose
 last leading axis holds the members. ``penalized_objective`` can hand back
 the kernel results (``Terms``). ``euclidean_gradient`` returns
 d(objective)/dF* in the Wirtinger sense (the differential is 2 Re<dF, grad>)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .distortion import radiated_power
+from .distortion import budget_coefficients, radiated_power
 
 _LOG2E = 1.0 / np.log(2.0)
 
@@ -70,11 +70,14 @@ class Link:
     evaluation without a gradient never builds the gradient's.
     ``scratch`` reuses the kernel's large temporaries per stack shape (one caller at a time).
 
-    A link of several members (``Link.of`` with a sequence of configs) holds
-    each member's amplifier, noise and weights on a leading member axis:
-    ``beta1``/``beta3`` as (M, 1), ``noise``/``coeff`` as (M, m), and its
-    tables as (M, ...). A stack it evaluates holds the members on its last
-    leading axis, (..., M, n_tx, K). The members share the probe rows.
+    A link of members (``Link.of`` with a sequence of configs, also of one)
+    holds each member's amplifier, noise and weights on a leading member
+    axis: ``beta1``/``beta3`` as (M, 1), ``noise``/``coeff`` as (M, m), and
+    its tables as (M, ...). A stack it evaluates holds the members on its
+    last leading axis, (..., M, n_tx, K). The members share the probe rows.
+    ``budget`` holds each member's power budget row (p_tot, a, b, c), with
+    (a, b, c) from ``budget_coefficients``; an ascent reads these rows, not
+    the configs.
     """
 
     probes: np.ndarray
@@ -83,6 +86,7 @@ class Link:
     beta3: complex | np.ndarray
     noise: np.ndarray | float = 0.0
     coeff: np.ndarray | float = 0.0
+    budget: tuple[tuple[float, float, float, float], ...] = ()
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     probed = functools.cached_property(lambda self: _real_form(self.probes.T))
@@ -101,26 +105,22 @@ class Link:
             raise ValueError("the members of a link must share n_users and target_gain")
         noise, coeff = zip(*map(_noise_coeff, config))
         beta1, beta3 = (np.array([[getattr(c, name)] for c in config]) for name in ("beta1", "beta3"))
+        budget = tuple((c.p_tot, *budget_coefficients(c.beta1, c.beta3)) for c in config)
         probes = _probe_rows(channels, first.target_gain)
-        return cls(probes, first.n_users, beta1, beta3, np.array(noise), np.array(coeff))
+        return cls(probes, first.n_users, beta1, beta3, np.array(noise), np.array(coeff), budget)
 
     def select(self, ids: np.ndarray) -> Link:
-        """The link of the members ``ids``, sharing this one's probe tables and scratch.
-
-        A link without a member axis is its own selection; one member's link
-        has no member axis, as ``Link.of`` its config.
-        """
-        if np.ndim(self.beta3) == 0:
-            return self
-        if len(ids) == 1:
-            i = ids[0]
-            picked = Link(self.probes, self.k, complex(self.beta1[i, 0]), complex(self.beta3[i, 0]),
-                          self.noise[i], self.coeff[i], self.scratch)
-        else:
-            picked = Link(self.probes, self.k, self.beta1[ids], self.beta3[ids], self.noise[ids], self.coeff[ids],
-                          self.scratch)
+        """The link of the members ``ids``, sharing this one's probe tables and scratch."""
+        picked = Link(self.probes, self.k, self.beta1[ids], self.beta3[ids], self.noise[ids], self.coeff[ids],
+                      tuple(self.budget[i] for i in ids), self.scratch)
         picked.__dict__.update(probed=self.probed, spread=self.spread)
         return picked
+
+    @functools.cached_property
+    def normal_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per member (M, 1): 2b/a and 3c/a, the weights of sigma^2 and sigma^4 in the budget's normal."""
+        return (np.array([[2.0 * b / a] for _, a, b, _ in self.budget]),
+                np.array([[3.0 * c / a] for _, a, _, c in self.budget]))
 
     @functools.cached_property
     def d3(self) -> float | np.ndarray:

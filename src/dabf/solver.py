@@ -46,7 +46,7 @@ import numpy as np
 from . import gradients
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .distortion import budget_coefficients, power_match_scale, scale_to_power
+from .distortion import budget_coefficients, budget_scales, scale_to_power
 from .gradients import (
     NO_PENALTY,
     Link,
@@ -383,28 +383,21 @@ def manifold_cg(
     return points[0], traces[0]
 
 
-def budget_normal(
-    X: np.ndarray, F_A: np.ndarray | None, config: SystemConfig | Sequence[SystemConfig]
-) -> np.ndarray:
-    """Normal at X of the power budget's level set through ``F_A @ X``, up to a positive scale.
+def budget_normal(X: np.ndarray, F_A: np.ndarray | None, link: Link) -> np.ndarray:
+    """Normal at each X[i] of a (M, ...) stack of the budget's level set through ``F_A[i] @ X[i]`` (up to scale).
 
     The budget P(F) = a ||F||^2 + b sum sigma^4 + c sum sigma^6 has the
     Wirtinger gradient D F with D = diag(a + 2b sigma^2 + 3c sigma^4), so the
-    rows of X are scaled by D / a. ``F_A = None`` means the precoder is X
-    itself. Otherwise the normal is pulled back to F_A^H D F_A X; for a
-    partially connected F_A that matrix is diagonal, with each chain's sum
-    of D over its subarray, so each row of X is scaled by its subarray's
+    rows of X are scaled by D / a, with each member's 2b/a and 3c/a read
+    from ``link`` (a link of the M members, ``Link.normal_weights``).
+    ``F_A = None`` means each precoder is X[i] itself. Otherwise ``F_A`` is
+    a (M, n_tx, n_rf) stack and the normal is pulled back to F_A^H D F_A X;
+    for a partially connected F_A that matrix is diagonal, with each chain's
+    sum of D over its subarray, so each row of X is scaled by its subarray's
     mean. With b = c = 0 every scale is exactly 1 and X comes back bit for
-    bit. For a batch, X is a (M, ...) stack of members, ``F_A`` None or a
-    (M, n_tx, n_rf) stack, and ``config`` holds one config per member.
+    bit.
     """
-    if isinstance(config, SystemConfig):
-        a, b, c = budget_coefficients(config.beta1, config.beta3)
-        quartic, sextic = 2.0 * b / a, 3.0 * c / a
-    else:
-        coefficients = [budget_coefficients(member.beta1, member.beta3) for member in config]
-        quartic = np.array([[2.0 * b / a] for a, b, _ in coefficients])
-        sextic = np.array([[3.0 * c / a] for a, _, c in coefficients])
+    quartic, sextic = link.normal_weights
     sig2 = _row_powers(X if F_A is None else F_A @ X)
     scale = 1.0 + quartic * sig2 + sextic * sig2**2
     if F_A is not None:
@@ -422,60 +415,51 @@ def _budget_ascent(
     """Lockstep ascents of the weighted rate objective of ``F_A[i] @ X[i]`` over X[i], each on its exact power budget.
 
     ``X`` is a (M, ...) stack of starts and ``configs`` holds one config per
-    member (they share the channels). ``F_A = None`` means each precoder is
-    X[i] itself; otherwise ``F_A`` is a (M, n_tx, n_rf) stack. The
-    retraction rescales each trial onto the output-power budget of its
-    member's config (a whole round of searches in one ``power_match_scale``
-    call), the gradient is the pulled-back ``F_A^H grad``, and each ascent
-    projects onto the tangent space of its budget's level set
-    (``budget_normal``). Returns the final X stack, the objective traces and
-    the stop reasons (see ``_ascend``); the first entry of a trace is the
-    objective of power-matched X.
+    member (they share the channels); ``Link.of`` turns them into the
+    numbers the ascent reads. ``F_A = None`` means each precoder is X[i]
+    itself; otherwise ``F_A`` is a (M, n_tx, n_rf) stack. The retraction
+    rescales each trial onto its member's output-power budget (a whole
+    round of searches in one ``budget_scales`` call), the gradient is the
+    pulled-back ``F_A^H grad``, and each ascent projects onto the tangent
+    space of its budget's level set (``budget_normal``). Returns the final X
+    stack, the objective traces and the stop reasons (see ``_ascend``); the
+    first entry of a trace is the objective of power-matched X.
     """
     link = Link.of(channels, configs)
     tables: dict = {}
     last: list = [None, None]  # the ids of the latest call and their tables
 
-    def members(ids: np.ndarray) -> dict:
-        # What the members ``ids`` need, made once per set of members the engine
-        # stacks; one member gets its config's scalars, as for any single precoder.
+    def members(ids: np.ndarray) -> tuple[Link, np.ndarray | None]:
+        # The link and analog matrices of the members ``ids``, made once per set of members the engine stacks.
         if ids is not last[0]:
             key = ids.tobytes()
             if key not in tables:
-                picked = [configs[i] for i in ids]
-                one = picked[0] if len(picked) == 1 else None
-                budget = [[getattr(c, name) for c in picked] for name in ("p_tot", "beta1", "beta3")]
-                tables[key] = dict(
-                    link=link.select(ids),
-                    F_A=None if F_A is None else F_A[ids],
-                    budget=[values[0] for values in budget] if one else budget,
-                    configs=one or picked,
-                )
+                tables[key] = link.select(ids), None if F_A is None else F_A[ids]
             last[:] = ids, tables[key]
         return last[1]
 
     def lift(Xs: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        return Xs if F_A is None else members(ids)["F_A"] @ Xs
+        return Xs if F_A is None else members(ids)[1] @ Xs
 
     def fit(X: np.ndarray, steps: np.ndarray, ids: np.ndarray) -> np.ndarray:
         moved = X + steps
-        return moved * power_match_scale(lift(moved, ids), *members(ids)["budget"])[..., None, None]
+        return moved * budget_scales(lift(moved, ids), members(ids)[0].budget)[..., None, None]
 
     def objective(Xs: np.ndarray, ids: np.ndarray):
-        here = members(ids)
-        return penalized_objective(lift(Xs, ids), NO_PENALTY, channels, configs[0], link=here["link"], with_terms=True)
+        here = members(ids)[0]
+        return penalized_objective(lift(Xs, ids), NO_PENALTY, channels, configs[0], link=here, with_terms=True)
 
     def gradient(X: np.ndarray, terms: Terms, ids: np.ndarray) -> np.ndarray:
-        here = members(ids)
-        if terms.link is not here["link"]:
-            terms = replace(terms, link=here["link"])
+        here, analog = members(ids)
+        if terms.link is not here:
+            terms = replace(terms, link=here)
         # Looked up at call time, so a wrapped ``gradients.euclidean_gradient`` sees every call.
         egrad = gradients.euclidean_gradient(lift(X, ids), NO_PENALTY, channels, configs[0], terms=terms)
-        return egrad if F_A is None else here["F_A"].conj().swapaxes(-1, -2) @ egrad
+        return egrad if F_A is None else analog.conj().swapaxes(-1, -2) @ egrad
 
     def normal(X: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        here = members(ids)
-        return budget_normal(X, here["F_A"], here["configs"])
+        here, analog = members(ids)
+        return budget_normal(X, analog, here)
 
     every = np.arange(len(X))
     start = fit(X, np.zeros((1, *X.shape)), every)[0]

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import oracles
-from dabf import gradients, solver
+from dabf import distortion, gradients, solver
 from dabf.channel import draw_channels
 from dabf.config import SystemConfig, dbm_to_mw, noise_from_snr
 from dabf.decomposition import decompose, refine_digital
-from dabf.distortion import power_match_scale
+from dabf.distortion import budget_scales, power_match_scale
 from dabf.gradients import NO_PENALTY, Link, euclidean_gradient, moment_penalty, moment_targets, penalized_objective
 from dabf.metrics import weighted_objective
 from dabf.solver import (
@@ -99,7 +99,7 @@ def test_power_matched_ascent_equals_sequential_oracle(name, monkeypatch):
         lambda X: F_A.conj().T @ euclidean_gradient(F_A @ X, NO_PENALTY, ch, cfg),
         fit,
         events,
-        lambda X: budget_normal(X, F_A, cfg),
+        lambda X: solo_normal(X, F_A, ch, cfg),
         **ASCENT_CONSTANTS[name],
     )
     assert_events(name, events)
@@ -153,12 +153,17 @@ def member_configs(n_tx):
     return configs
 
 
+def solo_normal(X, F_A, ch, cfg):
+    """``budget_normal`` of one point, through the link of its one member."""
+    return budget_normal(X[None], None if F_A is None else F_A[None], Link.of(ch, [cfg]))[0]
+
+
 def start_gradient_norm(F_A, X, ch, cfg):
     """Norm of the projected gradient that an ascent's first stop test reads at its power-matched start."""
     start = X * power_match_scale(X if F_A is None else F_A @ X, cfg.p_tot, cfg.beta1, cfg.beta3)
     egrad = euclidean_gradient(start if F_A is None else F_A @ start, NO_PENALTY, ch, cfg)
     grad = egrad if F_A is None else F_A.conj().T @ egrad
-    return np.linalg.norm(tangent_project(grad, budget_normal(start, F_A, cfg)))
+    return np.linalg.norm(tangent_project(grad, solo_normal(start, F_A, ch, cfg)))
 
 
 def assert_lockstep_equals_solo(F_A, starts, ch, configs, max_steps, monkeypatch):
@@ -227,19 +232,38 @@ def test_member_trial_stacks_equal_per_slice_calls(n_tx):
     link = Link.of(ch, configs)
     values, terms = penalized_objective(stack, NO_PENALTY, ch, configs[0], link=link, with_terms=True)
     assert values.shape == (4, len(configs))
-    budget = [[getattr(c, name) for c in configs] for name in ("p_tot", "beta1", "beta3")]
-    scales = power_match_scale(stack, *budget)
+    scales = budget_scales(stack, link.budget)
     for t in range(4):
         grads = euclidean_gradient(stack[t], NO_PENALTY, ch, configs[0], terms=terms[t])
-        normals = budget_normal(stack[t], None, configs)
+        normals = budget_normal(stack[t], None, link)
         for j, cfg in enumerate(configs):
             F = stack[t, j]
             assert values[t, j] == penalized_objective(F, NO_PENALTY, ch, cfg)
             assert np.array_equal(grads[j], euclidean_gradient(F, NO_PENALTY, ch, cfg))
             assert scales[t, j] == power_match_scale(F, cfg.p_tot, cfg.beta1, cfg.beta3)
-            assert np.array_equal(normals[j], budget_normal(F, None, cfg))
+            assert np.array_equal(normals[j], solo_normal(F, None, ch, cfg))
     # A linear member's budget normal is its point, bit for bit, also among cubic members.
-    assert np.array_equal(budget_normal(stack[0], None, configs)[1], stack[0, 1])
+    assert np.array_equal(budget_normal(stack[0], None, link)[1], stack[0, 1])
+
+
+def test_batch_turns_configs_into_numbers_once(monkeypatch):
+    # ``Link.of`` makes each member's budget row; the ascent's retractions and
+    # normals read those rows, so a batch of 4 designs computes 4 coefficient sets.
+    configs = member_configs(16)[:4]
+    ch = draw_channels(configs[0], np.random.default_rng(12))
+    original = distortion.budget_coefficients
+    calls = []
+
+    def counted(beta1, beta3):
+        calls.append((beta1, beta3))
+        return original(beta1, beta3)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dabf") and getattr(module, "budget_coefficients", None) is original:
+            monkeypatch.setattr(module, "budget_coefficients", counted)
+    state, _ = solver.optimize_full_digital(ch, configs)
+    assert state.full_digital.shape == (4, 16, 2)
+    assert calls == [(cfg.beta1, cfg.beta3) for cfg in configs]
 
 
 # Run in a fresh process with glibc's allocation thresholds fixed at their

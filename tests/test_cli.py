@@ -4,7 +4,7 @@ import re
 import pytest
 
 from dabf.cli import build_spec, main, parse_config
-from dabf.config import ConfigError, dbm_to_mw
+from dabf.config import ConfigError, SystemConfig, dbm_to_mw
 
 
 def write(tmp_path, text):
@@ -203,6 +203,32 @@ def test_negative_rho_rejected(tmp_path):
         parse_config(path)
 
 
+def test_zero_beta1_rejected(tmp_path):
+    # The budget polynomial's linear coefficient |beta1|^2 must be positive.
+    with pytest.raises(ConfigError, match="beta1 must be nonzero"):
+        SystemConfig(beta1=0)
+    path = write(tmp_path, "experiment: sweep_snr\nsystem: {beta1: 0}\n")
+    with pytest.raises(ConfigError, match="beta1 must be nonzero"):
+        parse_config(path)
+
+
+def test_cli_zero_beta1_exits_with_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "system: {n_tx: 8, n_rf: 4, n_users: 2, n_paths: 2, beta1: 0}\nsweep: {realizations: 1}\n")
+    code = main(["sweep-snr", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "beta1 must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_convergence_rejects_schemes_it_does_not_run(tmp_path):
+    path = write(tmp_path, "experiment: convergence\nschemes: [mrt, zf]\n")
+    with pytest.raises(ConfigError, match=r"proposed_known only; got schemes \['mrt', 'zf'\]"):
+        parse_config(path)
+    assert parse_config(write(tmp_path, "experiment: convergence\nschemes: [proposed_known]\n")).schemes == (
+        "proposed_known",
+    )
+
+
 def test_repeated_scheme_rejected(tmp_path):
     path = write(tmp_path, "experiment: sweep_snr\nschemes: [mrt, zf, mrt]\n")
     with pytest.raises(ConfigError, match="'mrt' is listed twice"):
@@ -309,6 +335,40 @@ def test_cli_names_failing_realization_scheme_and_grid_point(tmp_path, capsys, m
     assert code == 1
     assert "seed 5, realization 0, scheme proposed_known, rho = 0.2" in err
     assert "RuntimeError: solver exploded" in err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_names_failing_refinement_member(tmp_path, capsys, monkeypatch, workers):
+    # The refinement batch fails as a whole; the member whose design model is
+    # cubic fails again when run alone, and the error names its report slot.
+    from dabf import experiments
+
+    refine = experiments.refine_digital
+
+    def fails_on_cubic_model(F_A, F_D, channels, config):
+        models = [config] if isinstance(config, SystemConfig) else config
+        if any(model.beta3 != 0 for model in models):
+            raise RuntimeError("refinement exploded")
+        return refine(F_A, F_D, channels, config)
+
+    monkeypatch.setattr(experiments, "refine_digital", fails_on_cubic_model)
+    cfg = write(
+        tmp_path,
+        "\n".join(
+            [
+                "experiment: sweep_nonlinearity",
+                "system: {n_tx: 8, n_rf: 4, n_users: 2, n_paths: 2}",
+                "sweep: {grid: [0.0, 0.2], realizations: 2}",
+                "schemes: [mrt, proposed_known, proposed_unknown]",
+            ]
+        ),
+    )
+    argv = ["sweep-nonlin", "--config", cfg, "--seed", "5", "--workers", str(workers), "--out", str(tmp_path / "r")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "seed 5, realization 0, scheme proposed_known, rho = 0.2" in err
+    assert "RuntimeError: refinement exploded" in err
 
 
 def test_cli_names_failing_convergence_run(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ from dabf.channel import draw_channels
 from dabf.config import SystemConfig
 from dabf.distortion import power_match_scale, radiated_power, scale_to_power
 from dabf.gradients import NO_PENALTY, euclidean_gradient, moment_targets
-from dabf.metrics import weighted_objective
+from dabf.metrics import Link, weighted_objective
 from dabf.solver import (
     DegeneratePA,
     InfeasibleMomentBudget,
@@ -414,7 +414,8 @@ def test_budget_normal_is_radiated_power_gradient(beta3, hybrid):
     X = random_complex((2 if hybrid else 8, 2), 641)
     lift = (lambda Y: Y) if F_A is None else (lambda Y: F_A @ Y)
     grad = oracles.fd_wirtinger_grad(lambda Y: radiated_power(lift(Y), cfg.beta1, cfg.beta3)[0], X)
-    normal = budget_normal(X, F_A, cfg)
+    link = Link.of(draw_channels(cfg, np.random.default_rng(642)), [cfg])
+    normal = budget_normal(X[None], None if F_A is None else F_A[None], link)[0]
     scale = np.vdot(normal, grad).real / np.vdot(normal, normal).real
     assert scale > 0
     assert np.linalg.norm(grad - scale * normal) <= 1e-7 * np.linalg.norm(grad)
@@ -473,7 +474,7 @@ def test_ascent_stops_on_failed_line_search(monkeypatch):
     # With the sphere's normal in place of the budget's, the engine ends on
     # the failed line search of the level-set test, at the oracle's point.
     cfg, ch, ref_point, ref_trace = sphere_projected_oracle()
-    monkeypatch.setattr(solver, "budget_normal", lambda X, F_A, config: X)
+    monkeypatch.setattr(solver, "budget_normal", lambda X, F_A, link: X)
     (F,), (trace,), (stop,) = _budget_ascent(None, _mrt_direction(ch)[None], ch, [cfg], solver.MAX_MO_STEPS)
     assert stop == "line search" and len(trace) <= solver.MAX_MO_STEPS
     assert np.array_equal(F, ref_point) and np.array_equal(trace, ref_trace)
